@@ -6,28 +6,32 @@ which exposes exactly what the search trees consume:
 * the preprocessed (vertex-deletion fixpoint) vertex set,
 * the per-layer d-cores of the pruned graph,
 * a ``dcc(S, L)`` kernel computing ``C^d_L(G[S])`` on the pruned graph,
-* a driver-local copy of the pruned graph (for the TD Num-index).
+* the pruned graph as driver arrays (for the TD Num-index).
 
 Three builders:
 
-* ``local_context`` — everything on the driver (pyref kernels).
+* ``local_context`` — everything on the driver: vertex deletion and every
+  ``dcc`` call run the array peel of :mod:`repro.core.peel`.
 * ``spark_context(mode="spark")`` — preprocessing *and* every per-node
   ``dcc`` call as DataFrame jobs.
 * ``spark_context(mode="hybrid")`` — the production-shaped default:
   distributed preprocessing, then the (Lemma-1-bounded, orders of
   magnitude smaller) pruned graph is collected and the search tree's
-  kernels run locally. See DESIGN.md §2.
+  kernels run on the driver through the same array peel. See DESIGN.md §2.
 """
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Dict, FrozenSet, Iterable, Sequence
 
-from ..pyref import kernels as pk
+import numpy as np
+
 from ..pyref.local_graph import LocalMLGraph
 from .dcc import dcc_set
 from .graph import MultiLayerGraph
+from .peel import Peel, PeelGraph
 from .preprocess import vertex_deletion
 
 
@@ -45,7 +49,7 @@ class DCCSContext:
     vertices: FrozenSet[int]  # survivors of vertex deletion
     cores: Dict[int, FrozenSet[int]]  # per-layer d-cores of pruned graph
     dcc: Callable[[Iterable[int], Sequence[int]], FrozenSet[int]]
-    pruned_local: LocalMLGraph  # pruned graph on the driver (TD index)
+    graph: PeelGraph  # pruned graph as driver arrays (d-CC kernel, TD index)
     mode: str
     preprocess_seconds: float
     n_dcc_calls: int = 0
@@ -62,35 +66,39 @@ class DCCSContext:
         return self.dcc(S, L)
 
 
+def check_query(n_layers: int, s: int, k: int = 1) -> None:
+    """Reject a support ``s`` outside ``1..l`` or a result count ``k < 1``."""
+    if not 1 <= s <= n_layers:
+        raise ValueError(f"s={s} outside 1..{n_layers} (the number of layers)")
+    if k < 1:
+        raise ValueError(f"k={k} < 1")
+
+
 def local_context(
     g: LocalMLGraph, d: int, s: int, *, vertex_del: bool = True
 ) -> DCCSContext:
     """All-driver context (reference engine).
 
-    ``vertex_del=False`` disables the deletion fixpoint (Fig. 28 "No-VD"
-    ablation): per-layer cores are still computed (the algorithms need
-    them) but no vertex is removed from the graph.
+    Vertex deletion is one joint peel over ``(layer, vertex)`` pairs with
+    the support rule ``Num(v) >= s``. ``vertex_del=False`` drops that rule
+    (Fig. 28 "No-VD" ablation): the per-layer cores are still computed (the
+    algorithms need them) but no vertex is removed from the graph.
     """
+    check_query(g.n_layers, s)
     t0 = time.perf_counter()
-    if vertex_del:
-        survivors, cores = pk.vertex_deletion(g, d, s)
-        pruned = g.induced(survivors)
-    else:
-        survivors, cores = g.vertices, pk.layer_cores(g, d)
-        pruned = g
+    full = PeelGraph.from_local(g)
+    peel = Peel(full, d).run(s if vertex_del else 0)
+    graph = full.induced(np.flatnonzero(peel.alive))
+    cores = peel.cores()
     dt = time.perf_counter() - t0
-
-    def _dcc(S: Iterable[int], L: Sequence[int]) -> FrozenSet[int]:
-        return pk.dcc(pruned, S, list(L), d)
-
     return DCCSContext(
         d=d,
         s=s,
         n_layers=g.n_layers,
-        vertices=survivors,
+        vertices=graph.vertices,
         cores=cores,
-        dcc=_dcc,
-        pruned_local=pruned,
+        dcc=partial(graph.dcc, d=d),
+        graph=graph,
         mode="local",
         preprocess_seconds=dt,
     )
@@ -102,15 +110,16 @@ def spark_context(
     """Distributed-preprocessing context; ``mode`` picks the search kernel.
 
     ``mode="spark"`` runs every search-tree ``dcc`` as a DataFrame job;
-    ``mode="hybrid"`` collects the pruned graph and peels locally.
+    ``mode="hybrid"`` collects the pruned graph and peels it on the driver.
     ``vertex_del=False`` is the Fig. 28 "No-VD" ablation.
     """
     if mode not in ("spark", "hybrid"):
         raise ValueError(f"unknown mode {mode!r}")
+    check_query(g.n_layers, s)
     t0 = time.perf_counter()
     pre = vertex_deletion(g, d, s if vertex_del else 0)
     cores = pre.cores_by_layer()
-    pruned_local = pre.graph.to_local()
+    graph = PeelGraph.from_local(pre.graph.to_local())
     dt = time.perf_counter() - t0
 
     if mode == "spark":
@@ -120,9 +129,7 @@ def spark_context(
             return dcc_set(pruned_spark, list(L), d, S)
 
     else:
-
-        def _dcc(S: Iterable[int], L: Sequence[int]) -> FrozenSet[int]:
-            return pk.dcc(pruned_local, S, list(L), d)
+        _dcc = partial(graph.dcc, d=d)
 
     return DCCSContext(
         d=d,
@@ -131,7 +138,7 @@ def spark_context(
         vertices=pre.survivors,
         cores=cores,
         dcc=_dcc,
-        pruned_local=pruned_local,
+        graph=graph,
         mode=mode,
         preprocess_seconds=dt,
     )

@@ -23,9 +23,9 @@ from __future__ import annotations
 import time
 from typing import Dict, FrozenSet, List, Sequence, Set, Tuple
 
-from ..pyref.index import NumIndex
 from .bottom_up import _layer_order
 from .engine import DCCSContext
+from .index import NumIndex
 from .result import DCCSResult, from_topk, init_topk
 from .topk import TopKDiversified
 
@@ -46,7 +46,7 @@ def td_dccs(
     # unlikely to support a large d-CC, so it should be *removable* early.
     order = _layer_order(ctx, sort_layers, descending=False)
     core_at = {p: ctx.cores[order[p - 1]] for p in range(1, l + 1)}
-    index = NumIndex.build(ctx.pruned_local, ctx.d) if use_index else None
+    index = NumIndex.build(ctx.graph, ctx.d) if use_index else None
 
     topk = init_topk(ctx, k) if init_result else TopKDiversified(k=k)
     n_candidates = 0

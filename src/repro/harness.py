@@ -22,7 +22,13 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 from . import config
 from .baseline.mimag import MiMAGResult, mimag
 from .core.bottom_up import bu_dccs
-from .core.engine import CallBudgetExceeded, DCCSContext, local_context, spark_context
+from .core.engine import (
+    CallBudgetExceeded,
+    DCCSContext,
+    check_query,
+    local_context,
+    spark_context,
+)
 from .core.greedy import gd_dccs
 from .core.result import DCCSResult
 from .core.top_down import td_dccs
@@ -89,8 +95,10 @@ def run_algorithm(
     """Run one algorithm on a fresh copy of ``ctx``; DNF on budget overrun.
 
     DNF rows report the elapsed time as a *lower bound* (the paper handles
-    its intractable brute-force baseline the same way).
+    its intractable brute-force baseline the same way). Raises
+    ``ValueError`` when ``ctx.s`` lies outside ``1..l`` or ``k < 1``.
     """
+    check_query(ctx.n_layers, ctx.s, k)
     t0 = time.perf_counter()
     my_ctx = dataclasses.replace(
         ctx,

@@ -3,7 +3,7 @@
 These are straight-line implementations of the paper's procedures
 (Appendix B `dCC`, Section IV-C vertex deletion, Section V-B `RefineU`)
 over :class:`~repro.pyref.local_graph.LocalMLGraph`. They serve as the
-oracle for the distributed operators and as the local-engine kernels.
+test oracle for the driver array peel and the distributed operators.
 """
 from __future__ import annotations
 

@@ -1,9 +1,10 @@
 """Driver-local multi-layer graph.
 
 This is the in-memory substrate used (a) as the executable specification
-that the distributed DataFrame operators are tested against and (b) as the
-``LocalEngine`` kernel once the distributed preprocessing has pruned the
-graph down to the Lemma-1-bounded candidate region.
+that the driver array peel and the distributed DataFrame operators are
+tested against and (b) as the driver-side input of the local engine and the
+collected pruned graph of the hybrid one, from which
+:class:`~repro.core.peel.PeelGraph` reads its arrays.
 
 Layers are numbered ``1..l`` as in the paper. Edges are undirected and
 simple; self-loops are dropped on construction.
@@ -37,7 +38,11 @@ class LocalMLGraph:
         n_layers: int | None = None,
         vertices: Iterable[int] | None = None,
     ) -> "LocalMLGraph":
-        """Build from ``(layer, u, v)`` triples (direction-insensitive)."""
+        """Build from ``(layer, u, v)`` triples (direction-insensitive).
+
+        Raises ``ValueError`` on an edge whose layer lies outside ``1..l``
+        (``l`` is ``n_layers``, or the largest layer seen when it is None).
+        """
         adj: Dict[int, Dict[int, Set[int]]] = {}
         seen: Set[int] = set()
         max_layer = 0
@@ -53,6 +58,9 @@ class LocalMLGraph:
         if vertices is not None:
             seen |= set(vertices)
         l = n_layers if n_layers is not None else max_layer
+        bad = sorted(i for i in adj if not 1 <= i <= l)
+        if bad:
+            raise ValueError(f"edges on layers {bad} outside 1..{l}")
         for i in range(1, l + 1):
             adj.setdefault(i, {})
         return cls(n_layers=l, adj=adj, vertices=frozenset(seen))

@@ -81,11 +81,11 @@ def test_s_equal_one_returns_layer_cores():
 
 
 def test_s_larger_than_l_gives_empty_result():
+    """s > l admits no layer subset; the context now rejects it up front
+    instead of letting bu_dccs return an empty result."""
     g = random_mlg(15, 2, 0.2, 0)
-    ctx = local_context(g, 2, 5)
-    res = bu_dccs(ctx, 3)
-    assert res.entries == []
-    assert res.cov_size == 0
+    with pytest.raises(ValueError):
+        local_context(g, 2, 5)
 
 
 def test_determinism():

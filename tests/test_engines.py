@@ -39,10 +39,8 @@ def test_preprocessing_agrees(ctx_local, ctx_hybrid, ctx_spark):
 
 
 def test_pruned_local_graph_agrees(ctx_local, ctx_hybrid):
-    assert ctx_local.pruned_local.vertices == ctx_hybrid.pruned_local.vertices
-    assert set(ctx_local.pruned_local.edges()) == set(
-        ctx_hybrid.pruned_local.edges()
-    )
+    assert ctx_local.graph.vertices == ctx_hybrid.graph.vertices
+    assert set(ctx_local.graph.edges()) == set(ctx_hybrid.graph.edges())
 
 
 @pytest.mark.parametrize("algo", [gd_dccs, bu_dccs, td_dccs])
@@ -82,3 +80,14 @@ def test_call_budget_raises(ctx_local):
 def test_invalid_mode_rejected(gs):
     with pytest.raises(ValueError):
         spark_context(gs, 2, 2, mode="nope")
+
+
+@pytest.mark.parametrize("s", [0, 4])
+def test_support_outside_layer_range_rejected(gl, gs, s):
+    """local_context and spark_context raise on s outside 1..l (here l = 3)."""
+    for vertex_del in (True, False):
+        with pytest.raises(ValueError):
+            local_context(gl, 2, s, vertex_del=vertex_del)
+        for mode in ("spark", "hybrid"):
+            with pytest.raises(ValueError):
+                spark_context(gs, 2, s, mode=mode, vertex_del=vertex_del)

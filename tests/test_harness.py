@@ -41,6 +41,15 @@ def test_run_algorithm_dnf_on_budget():
     assert res.entries == []
 
 
+@pytest.mark.parametrize("s,k", [(2, 0), (0, 3), (9, 3)])
+def test_run_algorithm_rejects_bad_query(s, k):
+    import dataclasses
+
+    ctx = dataclasses.replace(get_context("ppi-lite", 2, 2), s=s)  # ppi-lite: l = 8
+    with pytest.raises(ValueError):
+        run_algorithm("BU-DCCS", ctx, k)
+
+
 def test_run_algorithm_time_budget_dnf():
     ctx = get_context("ppi-lite", 2, 3)
     res = run_algorithm("GD-DCCS", ctx, 3, time_budget=1e-9)

@@ -1,9 +1,11 @@
-"""Num-hierarchy index (Section V-C): partition, levels, Lemma 8 scope."""
+"""Num-hierarchy index (Section V-C): stage partition, Lemma 8 scope."""
 from itertools import combinations
 
 import pytest
 
-from repro.pyref import LocalMLGraph, NumIndex, dcc, layer_cores, support
+from repro.core.index import NumIndex
+from repro.core.peel import PeelGraph
+from repro.pyref import LocalMLGraph, dcc, vertex_deletion
 
 from .util import random_mlg
 
@@ -13,7 +15,7 @@ SEEDS = range(5)
 @pytest.mark.parametrize("seed", SEEDS)
 def test_stages_partition_vertices(seed):
     g = random_mlg(25, 3, 0.15, seed)
-    idx = NumIndex.build(g, 2)
+    idx = NumIndex.build(PeelGraph.from_local(g), 2)
     seen = set()
     for h, stage in idx.stages.items():
         assert not (stage & seen)
@@ -24,32 +26,21 @@ def test_stages_partition_vertices(seed):
 @pytest.mark.parametrize("seed", SEEDS)
 def test_stage_of_consistent(seed):
     g = random_mlg(25, 3, 0.15, seed)
-    idx = NumIndex.build(g, 2)
+    idx = NumIndex.build(PeelGraph.from_local(g), 2)
     for h, stage in idx.stages.items():
         for v in stage:
             assert idx.stage_of[v] == h
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-def test_levels_monotone_within_stage(seed):
-    """Vertices removed in later batches sit on strictly higher levels."""
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_stage_of_is_last_surviving_support(seed, d):
+    """stage_of(v) = max{h : v survives vertex deletion at s = h}, else 1."""
     g = random_mlg(25, 3, 0.15, seed)
-    idx = NumIndex.build(g, 2)
-    # level_of is a global batch counter: stage h levels < stage h' levels for h < h'
+    idx = NumIndex.build(PeelGraph.from_local(g), d)
+    survivors = {h: vertex_deletion(g, d, h)[0] for h in g.layers}
     for v in g.vertices:
-        for u in g.vertices:
-            if idx.stage_of[v] < idx.stage_of[u]:
-                assert idx.level_of[v] < idx.level_of[u]
-
-
-@pytest.mark.parametrize("seed", SEEDS)
-def test_layers_of_is_core_membership_at_removal(seed):
-    """L(v) holds the layers whose d-core contained v just before removal,
-    so |L(v)| is v's support at that moment and is <= its stage number."""
-    g = random_mlg(25, 3, 0.15, seed)
-    idx = NumIndex.build(g, 2)
-    for v in g.vertices:
-        assert len(idx.layers_of[v]) <= idx.stage_of[v]
+        assert idx.stage_of[v] == max([h for h in g.layers if v in survivors[h]], default=1)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -57,7 +48,7 @@ def test_layers_of_is_core_membership_at_removal(seed):
 def test_lemma8_scope_contains_dcc(seed, d):
     """Lemma 8: C^d_{L'} ⊆ ⋃_{h >= |L'|} I_h for every L'."""
     g = random_mlg(22, 3, 0.18, seed)
-    idx = NumIndex.build(g, d)
+    idx = NumIndex.build(PeelGraph.from_local(g), d)
     for size in (1, 2, 3):
         for L in combinations(range(1, 4), size):
             C = dcc(g, g.vertices, list(L), d)
@@ -71,15 +62,6 @@ def test_scope_filters_low_stages():
         for leaf in range(2, 8):
             edges.append((layer, 1, leaf))
     g = LocalMLGraph.from_edges(edges, n_layers=2)
-    idx = NumIndex.build(g, 2)
+    idx = NumIndex.build(PeelGraph.from_local(g), 2)
     # nothing is in a 2-core, so everything dies at stage... support 0 <= 1
     assert idx.scope(g.vertices, [1, 2]) == frozenset()
-
-
-def test_first_batch_support_bound():
-    g = random_mlg(20, 2, 0.2, 3)
-    idx = NumIndex.build(g, 2)
-    cores = layer_cores(g, 2)
-    first_level = [v for v in g.vertices if idx.level_of[v] == 0]
-    for v in first_level:
-        assert support(cores, v) <= 1

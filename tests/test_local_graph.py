@@ -29,6 +29,12 @@ def test_self_loops_dropped():
     assert 5 not in g.vertices  # only appeared in a self-loop
 
 
+@pytest.mark.parametrize("layer,n_layers", [(0, 2), (3, 2), (-1, None)])
+def test_layer_outside_range_rejected(layer, n_layers):
+    with pytest.raises(ValueError):
+        LocalMLGraph.from_edges([(1, 1, 2), (layer, 2, 3)], n_layers=n_layers)
+
+
 def test_direction_insensitive():
     g1 = LocalMLGraph.from_edges([(1, 1, 2)], n_layers=1)
     g2 = LocalMLGraph.from_edges([(1, 2, 1)], n_layers=1)

@@ -63,6 +63,14 @@ def test_s_equals_l_single_candidate():
     assert C == brute_force_dcc(g, set(g.vertices), [1, 2, 3], 2)
 
 
+def test_s_larger_than_l_gives_empty_result():
+    """s > l admits no layer subset; the context now rejects it up front
+    instead of letting td_dccs return an empty result."""
+    g = random_mlg(15, 2, 0.2, 0)
+    with pytest.raises(ValueError):
+        local_context(g, 2, 5)
+
+
 def test_determinism():
     g = random_mlg(30, 4, 0.12, 4)
     r1 = td_dccs(local_context(g, 2, 3), 3)
@@ -83,9 +91,3 @@ def test_td_vs_bu_cover_comparable(seed):
     if bu.cov_size and td.cov_size:
         assert td.cov_size >= bu.cov_size / 4
         assert bu.cov_size >= td.cov_size / 4
-
-
-def test_s_larger_than_l_gives_empty_result():
-    g = random_mlg(15, 2, 0.2, 0)
-    res = td_dccs(local_context(g, 2, 5), 3)
-    assert res.entries == []

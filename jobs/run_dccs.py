@@ -3,7 +3,9 @@
     spark-submit jobs/run_dccs.py <dataset> <algo> [d] [s] [k] [engine]
 
 Prints the top-k diversified d-CCs, their layer sets, cover size, and the
-connected components of each returned core (computed distributively).
+number of connected components of each returned core. Spark runs the
+vertex-deletion preprocessing; the components come from a union-find over
+the collected pruned graph on the driver.
 """
 from __future__ import annotations
 
@@ -22,7 +24,7 @@ def main(
     k: int = 10,
     engine: str = "hybrid",
 ):
-    from repro.core.components import connected_components
+    from repro.core import components
     from repro.datasets import load_spark
     from repro.harness import ALGOS
     from repro.core.engine import spark_context
@@ -37,15 +39,7 @@ def main(
         f"({res.n_dcc_calls} dCC calls)"
     )
     for L, C in res.entries:
-        sub = g.induced(C)
-        n_comp = (
-            connected_components(sub, layers=list(L))
-            .select("component")
-            .distinct()
-            .count()
-            if C
-            else 0
-        )
+        n_comp = len(set(components.connected_components(ctx.graph, C, L).values()))
         print(f"  L={L}: |C|={len(C)} components={n_comp}")
     return res
 

@@ -1,51 +1,36 @@
-"""Distributed connected components (min-label propagation).
+"""Connected components of a returned d-CC, on the driver.
 
-Utility operator for reporting the component structure of discovered
-d-CCs (a d-CC need not be connected; jobs report its components). The
-iterative min-label propagation converges in O(diameter) DataFrame
-rounds with checkpointed labels — adequate at this paper's scales and
-expressed purely in Catalyst operators.
+Jobs report the component structure of each discovered d-CC (a d-CC need
+not be connected). Every returned core is a driver-side set and the
+pruned graph it lives in is already in driver arrays, so a union-find
+over the edges of ``G[C]`` on the layers of ``L`` needs no Spark job.
 """
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Dict, Iterable, Sequence
 
-from pyspark.sql import DataFrame
-from pyspark.sql import functions as F
+import numpy as np
 
-from .graph import MultiLayerGraph
-from .dcore import _checkpoint
+from .peel import PeelGraph
 
 
-def connected_components(
-    g: MultiLayerGraph, layers: Iterable[int] | None = None
-) -> DataFrame:
-    """``(id, component)`` where ``component`` is the min vertex id reachable.
+def connected_components(g: PeelGraph, C: Iterable[int], L: Sequence[int]) -> Dict[int, int]:
+    """``{v: min id of v's component}`` for the members ``v`` of ``C`` in ``g``.
 
-    ``layers`` restricts the edge set (default: union over all layers).
-    Isolated vertices form singleton components.
+    Edges are those of ``g[C]`` on the union of the layers ``L``; a member
+    without such an edge is a singleton component.
     """
-    adj = g.sym(layers).select("src", "dst").distinct().cache()
-    labels = _checkpoint(
-        g.vertices.select("id", F.col("id").alias("component"))
-    )
-    while True:
-        msgs = adj.join(
-            labels.withColumnRenamed("id", "src"), "src"
-        ).select(F.col("dst").alias("id"), "component")
-        new_labels = (
-            labels.unionByName(msgs)
-            .groupBy("id")
-            .agg(F.min("component").alias("component"))
-        )
-        new_labels = _checkpoint(new_labels)
-        changed = (
-            new_labels.alias("n")
-            .join(labels.alias("o"), "id")
-            .filter(F.col("n.component") != F.col("o.component"))
-            .count()
-        )
-        labels = new_labels
-        if changed == 0:
-            adj.unpersist()
-            return labels
+    sub = g.induced(g.index(C), np.unique(np.asarray(L, np.int64)) - 1)
+    parent = {v: v for v in sub.ids.tolist()}
+
+    def find(v: int) -> int:
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    for _, u, v in sub.edges():
+        a, b = find(u), find(v)
+        if a != b:
+            parent[max(a, b)] = min(a, b)
+    return {v: find(v) for v in parent}

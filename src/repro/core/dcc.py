@@ -15,7 +15,11 @@ from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
 from .graph import MultiLayerGraph, ids_dataframe
-from .dcore import _checkpoint
+
+
+def _checkpoint(df: DataFrame) -> DataFrame:
+    """Materialise and cut lineage (eager local checkpoint)."""
+    return df.localCheckpoint(eager=True)
 
 
 def dcc(

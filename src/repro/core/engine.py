@@ -110,7 +110,7 @@ def spark_context(
     """Distributed-preprocessing context; ``mode`` picks the search kernel.
 
     ``mode="spark"`` runs every search-tree ``dcc`` as a DataFrame job;
-    ``mode="hybrid"`` collects the pruned graph and peels it on the driver.
+    ``mode="hybrid"`` peels the collected pruned graph on the driver.
     ``vertex_del=False`` is the Fig. 28 "No-VD" ablation.
     """
     if mode not in ("spark", "hybrid"):
@@ -119,17 +119,16 @@ def spark_context(
     t0 = time.perf_counter()
     pre = vertex_deletion(g, d, s if vertex_del else 0)
     cores = pre.cores_by_layer()
-    graph = PeelGraph.from_local(pre.graph.to_local())
     dt = time.perf_counter() - t0
 
     if mode == "spark":
-        pruned_spark = pre.graph
+        pruned_spark = g.induced(pre.survivors)
 
         def _dcc(S: Iterable[int], L: Sequence[int]) -> FrozenSet[int]:
             return dcc_set(pruned_spark, list(L), d, S)
 
     else:
-        _dcc = partial(graph.dcc, d=d)
+        _dcc = partial(pre.graph.dcc, d=d)
 
     return DCCSContext(
         d=d,
@@ -138,7 +137,7 @@ def spark_context(
         vertices=pre.survivors,
         cores=cores,
         dcc=_dcc,
-        graph=graph,
+        graph=pre.graph,
         mode=mode,
         preprocess_seconds=dt,
     )

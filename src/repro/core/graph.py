@@ -86,7 +86,14 @@ class MultiLayerGraph:
         vertex_ids: Iterable[int] | None = None,
         partitions: int = DEFAULT_PARTITIONS,
     ) -> "MultiLayerGraph":
-        """Build from a pandas frame with columns ``layer, src, dst``."""
+        """Build from a pandas frame with columns ``layer, src, dst``.
+
+        Raises ``ValueError`` on an edge layer outside ``1..n_layers``.
+        """
+        layer = pdf["layer"]
+        bad = sorted(set(layer[(layer < 1) | (layer > n_layers)].tolist()))
+        if bad:
+            raise ValueError(f"edges on layers {bad} outside 1..{n_layers}")
         edges = spark.createDataFrame(pdf[["layer", "src", "dst"]])
         vdf = None
         if vertex_ids is not None:
@@ -160,7 +167,7 @@ class MultiLayerGraph:
         }
 
     def to_local(self) -> LocalMLGraph:
-        """Collect to a driver-local graph (after distributed pruning)."""
+        """Collect to a driver-local graph."""
         pdf = self.edges.toPandas()
         verts = [int(r.id) for r in self.vertices.collect()]
         return LocalMLGraph.from_edges(

@@ -94,6 +94,23 @@ class PeelGraph:
         nbr = _positions(ids, nb[_ranges((np.cumsum(cnt) - cnt)[order], cnt[order])])
         return cls(ids=ids, n_layers=g.n_layers, indptr=indptr, nbr=nbr)
 
+    @classmethod
+    def from_edges(
+        cls, ids: np.ndarray, n_layers: int, layer: np.ndarray, src: np.ndarray, dst: np.ndarray
+    ) -> "PeelGraph":
+        """Arrays of the undirected edges ``(layer, src, dst)``, each given once.
+
+        ``ids`` are the vertex ids in ascending order; every endpoint is one
+        of them and every layer lies in ``1..n_layers``.
+        """
+        n = len(ids)
+        u, v = _positions(ids, src), _positions(ids, dst)
+        row = (np.concatenate([layer, layer]) - 1) * n + np.concatenate([u, v])
+        indptr = np.zeros(n_layers * n + 1, np.int64)
+        np.cumsum(np.bincount(row, minlength=n_layers * n), out=indptr[1:])
+        nbr = np.concatenate([v, u])[np.argsort(row, kind="stable")]
+        return cls(ids=ids, n_layers=n_layers, indptr=indptr, nbr=nbr)
+
     @property
     def n(self) -> int:
         return len(self.ids)
@@ -106,6 +123,10 @@ class PeelGraph:
     def vertex_set(self, which) -> FrozenSet[int]:
         """Ids of the vertices a dense-index array or mask selects."""
         return frozenset(self.ids[which].tolist())
+
+    def positions(self, values: np.ndarray) -> np.ndarray:
+        """Dense index of each of ``values``, all of them vertex ids here."""
+        return _positions(self.ids, values)
 
     def index(self, S: Iterable[int]) -> np.ndarray:
         """Ascending dense indices of the members of ``S`` that are vertices here."""

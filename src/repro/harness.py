@@ -66,16 +66,21 @@ def get_context(
 ) -> DCCSContext:
     """Memoized preprocessing per (dataset, d, s, engine, vertex_del).
 
+    Non-local contexts are also keyed by the Spark application that built
+    them: a ``mode="spark"`` context holds DataFrames of its session.
     Returned contexts are *shared*; use :func:`run_algorithm`, which hands
     each algorithm a fresh zero-counter copy.
     """
-    key = (dataset, d, s, engine, vertex_del)
+    app = None
+    if engine != "local":
+        assert spark is not None, "spark session required for non-local engines"
+        app = spark.sparkContext.applicationId
+    key = (dataset, d, s, engine, vertex_del, app)
     if key not in _contexts:
         if engine == "local":
             g, _ = get_local(dataset)
             _contexts[key] = local_context(g, d, s, vertex_del=vertex_del)
         else:
-            assert spark is not None, "spark session required for non-local engines"
             g, _ = load_spark(spark, dataset)
             _contexts[key] = spark_context(
                 g, d, s, mode=engine, vertex_del=vertex_del

@@ -1,4 +1,5 @@
 """Smoke tests: every job entrypoint runs at reduced scale and yields rows."""
+import re
 import sys
 
 import pytest
@@ -81,8 +82,17 @@ def test_table_fig30(spark):
     assert len(rows) == 3
 
 
-def test_run_dccs_entrypoint(spark):
+def test_run_dccs_entrypoint(spark, capsys):
+    """The printed component counts are a union-find's over the local graph."""
     from run_dccs import main
+
+    from repro.datasets import load_local
+
+    from .util import component_labels
 
     res = main(spark=spark, dataset="ppi-lite", algo="BU-DCCS", d=2, s=2, k=2)
     assert res.cov_size > 0
+    printed = [int(n) for n in re.findall(r"components=(\d+)", capsys.readouterr().out)]
+    g, _ = load_local("ppi-lite")
+    want = [len(set(component_labels(g, set(C), L).values())) for L, C in res.entries]
+    assert printed == want

@@ -42,6 +42,14 @@ def test_canonicalize_dedupes_and_orients(spark):
     assert rows == {(1, 1, 2), (1, 3, 4)}  # dedup + self-loop dropped + src<dst
 
 
+@pytest.mark.parametrize("bad", [0, 3])
+def test_layer_outside_range_rejected(spark, bad):
+    """Checked on the pandas frame, before any Spark job."""
+    pdf = pd.DataFrame({"layer": [1, bad], "src": [1, 2], "dst": [2, 3]})
+    with pytest.raises(ValueError, match="outside 1..2"):
+        MultiLayerGraph.from_pandas(spark, pdf, n_layers=2)
+
+
 def test_sym_doubles_edges(gs):
     assert gs.sym().count() == 2 * gs.edges.count()
 

@@ -80,3 +80,23 @@ def all_candidate_dccs(
     for L in combinations(range(1, g.n_layers + 1), s):
         out[L] = brute_force_dcc(g, set(g.vertices), L, d)
     return out
+
+
+def component_labels(
+    g: LocalMLGraph, C: Set[int], L: Sequence[int]
+) -> Dict[int, int]:
+    """``{v: min id of v's component}`` in ``g[C]`` over the layers ``L``, by union-find."""
+    parent = {v: v for v in C}
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for layer, u, v in g.edges():
+        if layer in L and u in parent and v in parent:
+            ru, rv = find(u), find(v)
+            if ru != rv:
+                parent[max(ru, rv)] = min(ru, rv)
+    return {v: find(v) for v in C}

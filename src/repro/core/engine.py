@@ -8,16 +8,20 @@ which exposes exactly what the search trees consume:
 * a ``dcc(S, L)`` kernel computing ``C^d_L(G[S])`` on the pruned graph,
 * the pruned graph as driver arrays (for the TD Num-index).
 
-Three builders:
+Three builders, which end in the same driver step,
+:func:`~repro.core.preprocess.prune` (peel to the vertex-deletion fixpoint,
+induce the pruned graph, read its per-layer cores):
 
-* ``local_context`` — everything on the driver: vertex deletion and every
-  ``dcc`` call run the array peel of :mod:`repro.core.peel`.
-* ``spark_context(mode="spark")`` — preprocessing *and* every per-node
-  ``dcc`` call as DataFrame jobs.
-* ``spark_context(mode="hybrid")`` — the production-shaped default:
-  distributed preprocessing, then the (Lemma-1-bounded, orders of
-  magnitude smaller) pruned graph is collected and the search tree's
-  kernels run on the driver through the same array peel. See DESIGN.md §2.
+* ``local_context`` — everything on the driver: the prune step runs on the
+  whole graph, and every ``dcc`` call runs the array peel of
+  :mod:`repro.core.peel` on the pruned graph.
+* ``spark_context(mode="hybrid")`` — the production-shaped default: one
+  distributed pass of the vertex-deletion rules shrinks the graph, the
+  shrunk graph is collected once and the prune step finishes the fixpoint;
+  the search tree's kernels run on the driver through the same array peel.
+  See DESIGN.md §2.
+* ``spark_context(mode="spark")`` — the same preprocessing, then every
+  per-node ``dcc`` call as a DataFrame job.
 """
 from __future__ import annotations
 
@@ -26,13 +30,11 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Dict, FrozenSet, Iterable, Sequence
 
-import numpy as np
-
 from ..pyref.local_graph import LocalMLGraph
 from .dcc import dcc_set
 from .graph import MultiLayerGraph
-from .peel import Peel, PeelGraph
-from .preprocess import vertex_deletion
+from .peel import PeelGraph
+from .preprocess import Preprocessed, prune, vertex_deletion
 
 
 class CallBudgetExceeded(RuntimeError):
@@ -79,29 +81,13 @@ def local_context(
 ) -> DCCSContext:
     """All-driver context (reference engine).
 
-    Vertex deletion is one joint peel over ``(layer, vertex)`` pairs with
-    the support rule ``Num(v) >= s``. ``vertex_del=False`` drops that rule
-    (Fig. 28 "No-VD" ablation): the per-layer cores are still computed (the
-    algorithms need them) but no vertex is removed from the graph.
+    Vertex deletion is the driver peel of :func:`~repro.core.preprocess.prune`
+    on the whole graph. ``vertex_del=False`` is the Fig. 28 "No-VD" ablation.
     """
     check_query(g.n_layers, s)
     t0 = time.perf_counter()
-    full = PeelGraph.from_local(g)
-    peel = Peel(full, d).run(s if vertex_del else 0)
-    graph = full.induced(np.flatnonzero(peel.alive))
-    cores = peel.cores()
-    dt = time.perf_counter() - t0
-    return DCCSContext(
-        d=d,
-        s=s,
-        n_layers=g.n_layers,
-        vertices=graph.vertices,
-        cores=cores,
-        dcc=partial(graph.dcc, d=d),
-        graph=graph,
-        mode="local",
-        preprocess_seconds=dt,
-    )
+    pre = prune(PeelGraph.from_local(g), d, s, vertex_del=vertex_del)
+    return _context(pre, d, s, "local", t0)
 
 
 def spark_context(
@@ -117,27 +103,23 @@ def spark_context(
         raise ValueError(f"unknown mode {mode!r}")
     check_query(g.n_layers, s)
     t0 = time.perf_counter()
-    pre = vertex_deletion(g, d, s if vertex_del else 0)
-    cores = pre.cores_by_layer()
-    dt = time.perf_counter() - t0
-
+    ctx = _context(vertex_deletion(g, d, s, vertex_del=vertex_del), d, s, mode, t0)
     if mode == "spark":
-        pruned_spark = g.induced(pre.survivors)
+        pruned_spark = g.induced(ctx.vertices)
+        ctx.dcc = lambda S, L: dcc_set(pruned_spark, list(L), d, S)
+    return ctx
 
-        def _dcc(S: Iterable[int], L: Sequence[int]) -> FrozenSet[int]:
-            return dcc_set(pruned_spark, list(L), d, S)
 
-    else:
-        _dcc = partial(pre.graph.dcc, d=d)
-
+def _context(pre: Preprocessed, d: int, s: int, mode: str, t0: float) -> DCCSContext:
+    """Context over the pruned graph ``pre``, its kernel the driver peel."""
     return DCCSContext(
         d=d,
         s=s,
-        n_layers=g.n_layers,
+        n_layers=pre.graph.n_layers,
         vertices=pre.survivors,
-        cores=cores,
-        dcc=_dcc,
+        cores=pre.cores_by_layer(),
+        dcc=partial(pre.graph.dcc, d=d),
         graph=pre.graph,
         mode=mode,
-        preprocess_seconds=dt,
+        preprocess_seconds=time.perf_counter() - t0,
     )

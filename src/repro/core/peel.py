@@ -15,9 +15,10 @@ greatest fixpoint, and a fixpoint for ``s`` is a valid start for any
 
 * ``dcc(S, L)`` (Appendix B): the graph induced on ``S`` and the layers of
   ``L``, peeled with ``s = |L|`` — a vertex losing any pair loses all;
-* vertex deletion (Section IV-C): all layers, the query's ``s``; the
-  surviving pairs are the per-layer d-cores of the pruned graph. The
-  No-VD ablation is the same peel with ``s = 0``;
+* vertex deletion (Section IV-C, :func:`repro.core.preprocess.prune`):
+  all layers, the query's ``s``; the surviving pairs are the per-layer
+  d-cores of the pruned graph. The No-VD ablation is the same peel with
+  ``s = 0``;
 * the Num-index (Section V-C, :mod:`repro.core.index`): warm-started
   peels for ``s = 1..l``.
 
@@ -33,7 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
-from typing import Dict, FrozenSet, Iterable, Iterator, Sequence, Tuple
+from typing import FrozenSet, Iterable, Iterator, Sequence, Tuple
 
 import numpy as np
 
@@ -124,10 +125,6 @@ class PeelGraph:
         """Ids of the vertices a dense-index array or mask selects."""
         return frozenset(self.ids[which].tolist())
 
-    def positions(self, values: np.ndarray) -> np.ndarray:
-        """Dense index of each of ``values``, all of them vertex ids here."""
-        return _positions(self.ids, values)
-
     def index(self, S: Iterable[int]) -> np.ndarray:
         """Ascending dense indices of the members of ``S`` that are vertices here."""
         want = np.fromiter(S, np.int64)
@@ -212,7 +209,3 @@ class Peel:
             cnt = g.indptr[rows + 1] - lo
             at = np.repeat(rows // n * n, cnt) + g.nbr[_ranges(lo, cnt)]
             deg -= np.bincount(at, minlength=len(deg))
-
-    def cores(self) -> Dict[int, FrozenSet[int]]:
-        """``{i: C^d(G_i[alive])}`` — the ids holding a pair on each layer ``i``."""
-        return {i: self.g.vertex_set(self.pairs[i - 1]) for i in range(1, self.g.n_layers + 1)}

@@ -1,31 +1,30 @@
-"""Distributed vertex-deletion preprocessing (BU-DCCS lines 1–7).
+"""Vertex-deletion preprocessing (BU-DCCS lines 1–7): one Spark pass, then
+the driver peel.
 
-One joint fixpoint over ``(layer, id)`` pairs, run on a symmetric edge
-frame ``(layer, src, dst)`` (both directions of every edge) that is
-materialised and shrinks every round. A row ``(i, u, v)`` stands for the
-pair ``(i, u)``; one round
+Section IV-C removes a vertex ``v`` whose support ``Num(v)`` — the number
+of layers ``i`` with ``v`` in ``C^d(G_i)`` — is below ``s``, recomputes the
+cores and repeats: the greatest fixpoint of two monotone rules over
+``(layer, vertex)`` pairs, a pair going when its degree falls below ``d``
+and all of a vertex's pairs going when fewer than ``s`` are left. By
+Lemma 1 no vertex of a d-CC with ``|L| = s`` is removed.
 
-* keeps the pairs whose degree in the frame is ``>= d``;
-* drops every pair of a vertex that keeps fewer than ``s`` pairs (its
-  support ``Num(v)``; ``s = 0`` is the "No-VD" ablation and turns this
-  rule off);
-* semi-joins the frame down to the edges between kept pairs: an edge
-  stays when both of its rows are left;
+* **The Spark pass** (:func:`vertex_deletion`) applies both rules once,
+  to the whole graph: ``keep`` holds the vertices with at least ``s``
+  layers of degree ``>= d``. Then ``G[keep]`` reaches the driver in one
+  collect, straight into a :class:`~repro.core.peel.PeelGraph`.
+* **The driver finish** (:func:`prune`) peels that graph to the fixpoint
+  with the batch peel of :mod:`repro.core.peel` and induces the pruned
+  graph; the surviving pairs are the per-layer d-cores of the pruned graph.
+  The local engine runs the same step on the whole graph.
 
-until the edge count stops changing. Both rules only remove, so every
-order reaches the same greatest fixpoint as the driver peel of
-:mod:`repro.core.peel`, and by Lemma 1 no vertex of a d-CC with
-``|L| = s`` is removed. The frame is partitioned by ``src``, so the two
-pair rules are window aggregates within partitions; the round shuffles
-only to match an edge's two rows and to partition the result again. Each
-round costs work proportional to the edges still alive: the round-based
-distributed peel of Montresor, De Pellegrini & Miorandi, *Distributed
-k-Core Decomposition* (IEEE TPDS 2013), run over all layers at once as in
-Galimberti, Bonchi & Gullo (ICDE 2017).
-
-The pruned graph ``G[survivors]``, the surviving pairs (the per-layer
-d-cores of the pruned graph) and the survivors then reach the driver in
-one collect, straight into a :class:`~repro.core.peel.PeelGraph`.
+The pass removes only vertices the fixpoint removes too: both rules are
+monotone and it evaluates them on a supergraph of every later round. So
+``G[keep]`` contains the greatest fixpoint of ``G``, and the fixpoint of
+``G[keep]`` equals that of ``G``. The rounds after the first, which remove
+few vertices each, cost the driver work proportional to the removed
+pairs' edges (the delta-degree peel of Montresor, De Pellegrini &
+Miorandi, *Distributed k-Core Decomposition*, IEEE TPDS 2013) instead of a
+shuffle over the whole surviving graph each.
 """
 from __future__ import annotations
 
@@ -33,11 +32,11 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet
 
 import numpy as np
-from pyspark.sql import DataFrame, Observation, Window
+from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
 from .graph import MultiLayerGraph
-from .peel import PeelGraph
+from .peel import Peel, PeelGraph
 
 
 @dataclass(frozen=True)
@@ -56,68 +55,49 @@ class Preprocessed:
         return {i: self.graph.vertex_set(self.pairs[i - 1]) for i in range(1, self.graph.n_layers + 1)}
 
 
-def vertex_deletion(g: MultiLayerGraph, d: int, s: int) -> Preprocessed:
-    """Run the fixpoint and collect the pruned graph and its per-layer cores.
+def prune(graph: PeelGraph, d: int, s: int, *, vertex_del: bool = True) -> Preprocessed:
+    """Peel ``graph`` to the vertex-deletion fixpoint and induce the pruned graph.
 
-    ``s <= 0`` disables deletion (the "No-VD" ablation): cores are still
-    computed — the algorithms need them — but no vertex is removed.
+    ``vertex_del=False`` is the "No-VD" ablation: the per-layer cores are
+    still computed — the algorithms need them — but no vertex is removed.
     """
-    if d <= 0:
-        # Every vertex is in C^0(G_i) of every layer, so Num(v) = l.
-        keep = g.vertices if s <= g.n_layers else g.vertices.limit(0)
-        return _collect(g, keep, None)
-    pair = Window.partitionBy("src", "layer")
-    vertex = Window.partitionBy("src")
-    edge = Window.partitionBy("layer", F.least("src", "dst"), F.greatest("src", "dst"))
-    sym, n_rows = g.sym(), None
-    while True:
-        kept = sym.withColumn("n", F.count("*").over(pair)).filter(F.col("n") >= d)
-        if s > 0:
-            num = F.size(F.collect_set("layer").over(vertex))
-            kept = kept.withColumn("n", num).filter(F.col("n") >= s)
-        kept = kept.withColumn("n", F.count("*").over(edge)).filter(F.col("n") == 2)
-        rows = Observation()  # counts the rows as the checkpoint writes them
-        sym = (
-            kept.select("layer", "src", "dst")
-            .repartition("src")
-            .observe(rows, F.count("*").alias("n"))
-            .localCheckpoint(eager=True)
-        )
-        if rows.get["n"] == n_rows:
-            break
-        n_rows = rows.get["n"]
-    # At the fixpoint every pair of the frame has degree >= d and support >= s.
-    pairs = sym.select("layer", F.col("src").alias("id")).distinct()
-    keep = g.vertices if s <= 0 else pairs.select("id").distinct()
-    return _collect(g, keep, pairs)
+    peel = Peel(graph, d).run(s if vertex_del else 0)
+    alive = np.flatnonzero(peel.alive)
+    return Preprocessed(graph=graph.induced(alive), pairs=peel.pairs[:, alive])
 
 
-def _collect(g: MultiLayerGraph, keep: DataFrame, pairs: DataFrame | None) -> Preprocessed:
-    """One collect of ``G[keep]``, the ``pairs`` (``None``: all) and ``keep``.
+def vertex_deletion(g: MultiLayerGraph, d: int, s: int, *, vertex_del: bool = True) -> Preprocessed:
+    """One Spark pass of the two rules, one collect, then :func:`prune`.
 
-    The three travel as ``(layer, src, dst)`` rows of one frame: an edge as
-    itself (``src < dst``), a pair ``(i, v)`` as ``(i, v, v)`` and a
-    surviving vertex ``v`` as ``(0, v, v)``.
+    ``vertex_del=False`` is the "No-VD" ablation (see :func:`prune`); it and
+    ``d <= 0`` collect the whole graph. Raises ``ValueError`` on ``s < 1``.
     """
-    edges = g.edges
-    if keep is not g.vertices:  # some vertex may be gone
-        edges = edges.join(keep.withColumnRenamed("id", "src"), "src", "semi").join(
-            keep.withColumnRenamed("id", "dst"), "dst", "semi"
+    if s < 1:
+        raise ValueError(f"s={s} < 1 (No-VD is vertex_del=False)")
+    keep = None  # every vertex
+    if vertex_del and d > 0:
+        num = g.degrees().filter(F.col("degree") >= d).groupBy("id").count()
+        keep = num.filter(F.col("count") >= s).select("id").localCheckpoint(eager=True)
+    return prune(_collect(g, keep), d, s, vertex_del=vertex_del)
+
+
+def _collect(g: MultiLayerGraph, keep: DataFrame | None) -> PeelGraph:
+    """``G[keep]`` (``None``: all of ``G``) in one collect.
+
+    The edges travel as themselves and the vertices as ``(0, v, v)`` rows of
+    the same frame, so vertices without an edge arrive too.
+    """
+    edges, ids = g.edges, g.vertices
+    if keep is not None:
+        # Sessions turn automatic broadcast joins off; keep is one id column.
+        ids = keep
+        edges = edges.join(F.broadcast(keep.withColumnRenamed("id", "src")), "src", "semi").join(
+            F.broadcast(keep.withColumnRenamed("id", "dst")), "dst", "semi"
         )
     rows = edges.select("layer", "src", "dst").unionByName(
-        keep.select(F.lit(0).alias("layer"), F.col("id").alias("src"), F.col("id").alias("dst"))
+        ids.select(F.lit(0).alias("layer"), F.col("id").alias("src"), F.col("id").alias("dst"))
     )
-    if pairs is not None:
-        rows = rows.unionByName(pairs.select("layer", F.col("id").alias("src"), F.col("id").alias("dst")))
     pdf = rows.toPandas()
     layer, src, dst = (pdf[c].to_numpy(np.int64) for c in ("layer", "src", "dst"))
-    edge = src != dst
-    ids = np.sort(src[layer == 0])
-    graph = PeelGraph.from_edges(ids, g.n_layers, layer[edge], src[edge], dst[edge])
-    if pairs is None:
-        core = np.ones((g.n_layers, len(ids)), bool)
-    else:
-        core = np.zeros((g.n_layers, len(ids)), bool)
-        at = ~edge & (layer > 0)
-        core[layer[at] - 1, graph.positions(src[at])] = True
-    return Preprocessed(graph=graph, pairs=core)
+    edge = layer > 0
+    return PeelGraph.from_edges(np.sort(src[~edge]), g.n_layers, layer[edge], src[edge], dst[edge])

@@ -1,8 +1,10 @@
 """Hybrid engine against the local engine on named datasets.
 
-The Spark vertex-deletion fixpoint, collected into driver arrays, must give
-the local engine's survivors, per-layer cores and pruned graph on ppi-lite
-and author-lite at d = 4, for s in {1, 3, l} and without vertex deletion.
+The Spark vertex-deletion pass, collected into driver arrays and finished
+by the driver peel, must give the local engine's survivors, per-layer cores
+and pruned graph at d = 4: on ppi-lite and author-lite for s in {1, 3, l}
+and without vertex deletion, on german-lite and wiki-lite for s in
+{3, l - 2}.
 """
 import pytest
 
@@ -10,12 +12,16 @@ from repro.core import local_context, spark_context
 from repro.datasets import SPECS, load_local, load_spark
 
 D = 4
-CASES = [(name, s) for name in ("ppi-lite", "author-lite") for s in (1, 3, SPECS[name].l, None)]
+SMALL = ("ppi-lite", "author-lite")
+LARGE = ("german-lite", "wiki-lite")
+CASES = [(name, s) for name in SMALL for s in (1, 3, SPECS[name].l, None)] + [
+    (name, s) for name in LARGE for s in (3, SPECS[name].l - 2)
+]
 
 
 @pytest.fixture(scope="module")
 def graphs(spark):
-    return {name: (load_spark(spark, name)[0], load_local(name)[0]) for name in ("ppi-lite", "author-lite")}
+    return {name: (load_spark(spark, name)[0], load_local(name)[0]) for name in SMALL + LARGE}
 
 
 @pytest.mark.parametrize("name,s", CASES, ids=[f"{n}-s{s or 'noVD'}" for n, s in CASES])

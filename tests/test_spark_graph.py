@@ -1,10 +1,13 @@
 """Spark MultiLayerGraph: round-trips, views, stats — oracle-checked."""
+import numpy as np
 import pandas as pd
 import pytest
 from pyspark.sql import functions as F
 
-from repro.core.graph import MultiLayerGraph
+from repro.core.graph import MAX_PARTITIONS, ROWS_PER_PARTITION, MultiLayerGraph, partitions_for
+from repro.datasets import load_spark
 from repro.oracle import assert_equivalent
+from repro.pyref import LocalMLGraph
 
 from .util import random_mlg
 
@@ -40,6 +43,46 @@ def test_canonicalize_dedupes_and_orients(spark):
     g = MultiLayerGraph.from_pandas(spark, pdf, n_layers=1)
     rows = {(r.layer, r.src, r.dst) for r in g.edges.collect()}
     assert rows == {(1, 1, 2), (1, 3, 4)}  # dedup + self-loop dropped + src<dst
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("with_ids", [False, True])
+def test_ingest_matches_local_graph(spark, seed, with_ids):
+    """Repeated rows, both orientations and self-loops give the local graph's
+    edges, once each; the vertices are ``vertex_ids`` plus every endpoint."""
+    rng = np.random.default_rng(seed)
+    rows = rng.integers(1, 30, size=(150, 2))
+    rows = np.vstack([rows, rows[:40, ::-1], rows[40:60], np.repeat(rows[:10, :1], 2, axis=1)])
+    pdf = pd.DataFrame(
+        {"layer": rng.integers(1, 4, size=len(rows)), "src": rows[:, 0], "dst": rows[:, 1]}
+    ).sample(frac=1, random_state=seed)
+    # Some endpoints, and ids of no edge at all.
+    ids = set(rng.choice(29, size=10).tolist()) | {40, 41, 42} if with_ids else None
+    g = MultiLayerGraph.from_pandas(spark, pdf, n_layers=3, vertex_ids=ids)
+    gl = LocalMLGraph.from_edges(pdf.itertuples(index=False), n_layers=3, vertices=ids)
+    got = [(r.layer, r.src, r.dst) for r in g.edges.collect()]
+    assert len(got) == len(set(got))
+    assert set(got) == set(gl.edges())
+    assert g.collect_vertex_set() == gl.vertices
+
+
+def test_partition_rule():
+    rows = (0, 1, ROWS_PER_PARTITION, ROWS_PER_PARTITION + 1)
+    assert [partitions_for(n) for n in rows] == [1, 1, 1, 2]
+    assert partitions_for(MAX_PARTITIONS * ROWS_PER_PARTITION * 10) == MAX_PARTITIONS
+
+
+def test_graph_frames_sized_to_rows(spark):
+    """ppi-lite's 4 K edges get one partition; more than 8 × 50 000 rows get 8."""
+    small, _ = load_spark(spark, "ppi-lite")
+    n = MAX_PARTITIONS * ROWS_PER_PARTITION + 1
+    ids = np.arange(n, dtype=np.int64)
+    pdf = pd.DataFrame({"layer": np.ones(n, np.int64), "src": ids, "dst": ids + 1})
+    large = MultiLayerGraph.from_pandas(spark, pdf, n_layers=1)
+    for g, parts in ((small, 1), (large, MAX_PARTITIONS)):
+        assert g.edges.rdd.getNumPartitions() == parts
+        assert g.vertices.rdd.getNumPartitions() == parts
+    large.edges.unpersist(), large.vertices.unpersist()
 
 
 @pytest.mark.parametrize("bad", [0, 3])

@@ -60,7 +60,10 @@ def spark() -> SparkSession:
     (shuffle partitions, Arrow, broadcast threshold) are set here.
     Broadcast joins are disabled so papers about shuffle/join algorithms
     actually exercise the shuffle path at SF~=0.1; a reproduction that
-    wants a broadcast join sets the threshold back for that query.
+    wants a broadcast join sets the threshold back for that query. The
+    Arrow local-relation threshold is the jobs' (``jobs/_common.get_spark``):
+    above 1 MB a loaded graph becomes a scan of its cached frame instead of
+    a local relation whose rows every later plan over the graph carries.
     """
     s = (
         SparkSession.builder.appName("repro")
@@ -69,6 +72,7 @@ def spark() -> SparkSession:
             os.environ.get("SPARK_SHUFFLE_PARTITIONS", "64"),
         )
         .config("spark.sql.execution.arrow.pyspark.enabled", "true")
+        .config("spark.sql.execution.arrow.localRelationThreshold", "1MB")
         .config("spark.sql.autoBroadcastJoinThreshold", -1)
         .getOrCreate()
     )

@@ -24,6 +24,8 @@ def main(
     k: int = 10,
     engine: str = "hybrid",
 ):
+    if engine != "hybrid":
+        raise ValueError(f"unknown engine {engine!r}: this job runs 'hybrid' only")
     from repro.core import components
     from repro.datasets import load_spark
     from repro.harness import ALGOS
@@ -31,7 +33,7 @@ def main(
 
     spark = spark or get_spark("run_dccs")
     g, _ = load_spark(spark, dataset)
-    ctx = spark_context(g, d, s, mode=engine)
+    ctx = spark_context(g, d, s)
     res = ALGOS[algo](ctx, k)
     print(
         f"{algo} on {dataset} (d={d}, s={s}, k={k}, engine={engine}): "

@@ -8,20 +8,18 @@ which exposes exactly what the search trees consume:
 * a ``dcc(S, L)`` kernel computing ``C^d_L(G[S])`` on the pruned graph,
 * the pruned graph as driver arrays (for the TD Num-index).
 
-Three builders, which end in the same driver step,
+Two builders, which end in the same driver step,
 :func:`~repro.core.preprocess.prune` (peel to the vertex-deletion fixpoint,
-induce the pruned graph, read its per-layer cores):
+induce the pruned graph, read its per-layer cores). Either way every
+``dcc`` call runs the array peel of :mod:`repro.core.peel` on the pruned
+graph:
 
 * ``local_context`` — everything on the driver: the prune step runs on the
-  whole graph, and every ``dcc`` call runs the array peel of
-  :mod:`repro.core.peel` on the pruned graph.
-* ``spark_context(mode="hybrid")`` — the production-shaped default: one
-  distributed pass of the vertex-deletion rules shrinks the graph, the
-  shrunk graph is collected once and the prune step finishes the fixpoint;
-  the search tree's kernels run on the driver through the same array peel.
-  See DESIGN.md §2.
-* ``spark_context(mode="spark")`` — the same preprocessing, then every
-  per-node ``dcc`` call as a DataFrame job.
+  whole graph.
+* ``spark_context`` — the production-shaped pipeline (the "hybrid"
+  engine): one distributed pass of the vertex-deletion rules shrinks the
+  graph, the shrunk graph is collected once and the prune step finishes
+  the fixpoint. See DESIGN.md §2.
 """
 from __future__ import annotations
 
@@ -31,7 +29,6 @@ from functools import partial
 from typing import Callable, Dict, FrozenSet, Iterable, Sequence
 
 from ..pyref.local_graph import LocalMLGraph
-from .dcc import dcc_set
 from .graph import MultiLayerGraph
 from .peel import PeelGraph
 from .preprocess import Preprocessed, prune, vertex_deletion
@@ -52,7 +49,6 @@ class DCCSContext:
     cores: Dict[int, FrozenSet[int]]  # per-layer d-cores of pruned graph
     dcc: Callable[[Iterable[int], Sequence[int]], FrozenSet[int]]
     graph: PeelGraph  # pruned graph as driver arrays (d-CC kernel, TD index)
-    mode: str
     preprocess_seconds: float
     n_dcc_calls: int = 0
     call_budget: int | None = None  # raise CallBudgetExceeded past this
@@ -87,30 +83,24 @@ def local_context(
     check_query(g.n_layers, s)
     t0 = time.perf_counter()
     pre = prune(PeelGraph.from_local(g), d, s, vertex_del=vertex_del)
-    return _context(pre, d, s, "local", t0)
+    return _context(pre, d, s, t0)
 
 
 def spark_context(
-    g: MultiLayerGraph, d: int, s: int, *, mode: str = "hybrid", vertex_del: bool = True
+    g: MultiLayerGraph, d: int, s: int, *, vertex_del: bool = True
 ) -> DCCSContext:
-    """Distributed-preprocessing context; ``mode`` picks the search kernel.
+    """Distributed-preprocessing context over the collected pruned graph.
 
-    ``mode="spark"`` runs every search-tree ``dcc`` as a DataFrame job;
-    ``mode="hybrid"`` peels the collected pruned graph on the driver.
+    Vertex deletion is one Spark pass finished by the driver peel
+    (:func:`~repro.core.preprocess.vertex_deletion`).
     ``vertex_del=False`` is the Fig. 28 "No-VD" ablation.
     """
-    if mode not in ("spark", "hybrid"):
-        raise ValueError(f"unknown mode {mode!r}")
     check_query(g.n_layers, s)
     t0 = time.perf_counter()
-    ctx = _context(vertex_deletion(g, d, s, vertex_del=vertex_del), d, s, mode, t0)
-    if mode == "spark":
-        pruned_spark = g.induced(ctx.vertices)
-        ctx.dcc = lambda S, L: dcc_set(pruned_spark, list(L), d, S)
-    return ctx
+    return _context(vertex_deletion(g, d, s, vertex_del=vertex_del), d, s, t0)
 
 
-def _context(pre: Preprocessed, d: int, s: int, mode: str, t0: float) -> DCCSContext:
+def _context(pre: Preprocessed, d: int, s: int, t0: float) -> DCCSContext:
     """Context over the pruned graph ``pre``, its kernel the driver peel."""
     return DCCSContext(
         d=d,
@@ -120,6 +110,5 @@ def _context(pre: Preprocessed, d: int, s: int, mode: str, t0: float) -> DCCSCon
         cores=pre.cores_by_layer(),
         dcc=partial(pre.graph.dcc, d=d),
         graph=pre.graph,
-        mode=mode,
         preprocess_seconds=time.perf_counter() - t0,
     )

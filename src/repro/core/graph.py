@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Set
+from typing import Iterable
 
 import numpy as np
 import pandas as pd
@@ -42,11 +42,6 @@ MAX_PARTITIONS = 8
 def partitions_for(rows: int) -> int:
     """Partitions of the graph frames of a graph with ``rows`` canonical edges."""
     return max(1, min(MAX_PARTITIONS, math.ceil(rows / ROWS_PER_PARTITION)))
-
-
-def ids_dataframe(spark: SparkSession, ids: Iterable[int]) -> DataFrame:
-    """An ``(id long)`` DataFrame from any (possibly empty) id collection."""
-    return spark.createDataFrame([(int(v),) for v in sorted(ids)], "id long")
 
 
 @dataclass(frozen=True)
@@ -119,25 +114,6 @@ class MultiLayerGraph:
             .agg(F.count("*").alias("degree"))
         )
 
-    def induced(self, ids: DataFrame | Set[int]) -> "MultiLayerGraph":
-        """Induced multi-layer subgraph ``G[S]`` (both edge endpoints in S)."""
-        vdf = (
-            ids
-            if isinstance(ids, DataFrame)
-            else ids_dataframe(self.spark, ids)
-        ).select(F.col("id").cast("long").alias("id")).distinct()
-        e = (
-            self.edges.join(vdf.withColumnRenamed("id", "src"), "src", "semi")
-            .join(vdf.withColumnRenamed("id", "dst"), "dst", "semi")
-            .select("layer", "src", "dst")
-        )
-        return MultiLayerGraph(
-            spark=self.spark,
-            edges=e.cache(),
-            vertices=vdf.cache(),
-            n_layers=self.n_layers,
-        )
-
     # -- stats / export --------------------------------------------------
 
     def stats(self) -> dict:
@@ -161,7 +137,3 @@ class MultiLayerGraph:
             n_layers=self.n_layers,
             vertices=verts,
         )
-
-    def collect_vertex_set(self) -> frozenset:
-        """The universal vertex set as a frozenset of ints."""
-        return frozenset(int(r.id) for r in self.vertices.collect())

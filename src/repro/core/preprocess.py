@@ -10,8 +10,10 @@ Lemma 1 no vertex of a d-CC with ``|L| = s`` is removed.
 
 * **The Spark pass** (:func:`vertex_deletion`) applies both rules once,
   to the whole graph: ``keep`` holds the vertices with at least ``s``
-  layers of degree ``>= d``. Then ``G[keep]`` reaches the driver in one
-  collect, straight into a :class:`~repro.core.peel.PeelGraph`.
+  layers of degree ``>= d``. Its ids come to the driver, and the edges of
+  ``G[keep]`` follow in one collect, straight into a
+  :class:`~repro.core.peel.PeelGraph`. Nothing of the pass stays cached in
+  the session.
 * **The driver finish** (:func:`prune`) peels that graph to the fixpoint
   with the batch peel of :mod:`repro.core.peel` and induces the pruned
   graph; the surviving pairs are the per-layer d-cores of the pruned graph.
@@ -32,7 +34,7 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet
 
 import numpy as np
-from pyspark.sql import DataFrame
+import pandas as pd
 from pyspark.sql import functions as F
 
 from .graph import MultiLayerGraph
@@ -67,7 +69,7 @@ def prune(graph: PeelGraph, d: int, s: int, *, vertex_del: bool = True) -> Prepr
 
 
 def vertex_deletion(g: MultiLayerGraph, d: int, s: int, *, vertex_del: bool = True) -> Preprocessed:
-    """One Spark pass of the two rules, one collect, then :func:`prune`.
+    """One Spark pass of the two rules, the collect of ``G[keep]``, then :func:`prune`.
 
     ``vertex_del=False`` is the "No-VD" ablation (see :func:`prune`); it and
     ``d <= 0`` collect the whole graph. Raises ``ValueError`` on ``s < 1``.
@@ -77,27 +79,28 @@ def vertex_deletion(g: MultiLayerGraph, d: int, s: int, *, vertex_del: bool = Tr
     keep = None  # every vertex
     if vertex_del and d > 0:
         num = g.degrees().filter(F.col("degree") >= d).groupBy("id").count()
-        keep = num.filter(F.col("count") >= s).select("id").localCheckpoint(eager=True)
+        keep = num.filter(F.col("count") >= s).select("id").toPandas()["id"].to_numpy(np.int64)
     return prune(_collect(g, keep), d, s, vertex_del=vertex_del)
 
 
-def _collect(g: MultiLayerGraph, keep: DataFrame | None) -> PeelGraph:
+def _collect(g: MultiLayerGraph, keep: np.ndarray | None) -> PeelGraph:
     """``G[keep]`` (``None``: all of ``G``) in one collect.
 
-    The edges travel as themselves and the vertices as ``(0, v, v)`` rows of
-    the same frame, so vertices without an edge arrive too.
+    Without ``keep`` the vertices travel as ``(0, v, v)`` rows of the edge
+    frame, so vertices without an edge arrive too.
     """
-    edges, ids = g.edges, g.vertices
-    if keep is not None:
-        # Sessions turn automatic broadcast joins off; keep is one id column.
-        ids = keep
-        edges = edges.join(F.broadcast(keep.withColumnRenamed("id", "src")), "src", "semi").join(
-            F.broadcast(keep.withColumnRenamed("id", "dst")), "dst", "semi"
+    if keep is None:
+        edges = g.edges.unionByName(
+            g.vertices.select(F.lit(0).alias("layer"), F.col("id").alias("src"), F.col("id").alias("dst"))
         )
-    rows = edges.select("layer", "src", "dst").unionByName(
-        ids.select(F.lit(0).alias("layer"), F.col("id").alias("src"), F.col("id").alias("dst"))
-    )
-    pdf = rows.toPandas()
+    else:
+        # keep goes back as a broadcast: sessions turn automatic broadcast joins off.
+        ids = F.broadcast(g.spark.createDataFrame(pd.DataFrame({"id": keep}), "id long"))
+        edges = g.edges.join(ids.withColumnRenamed("id", "src"), "src", "semi").join(
+            ids.withColumnRenamed("id", "dst"), "dst", "semi"
+        )
+    pdf = edges.toPandas()
     layer, src, dst = (pdf[c].to_numpy(np.int64) for c in ("layer", "src", "dst"))
     edge = layer > 0
-    return PeelGraph.from_edges(np.sort(src[~edge]), g.n_layers, layer[edge], src[edge], dst[edge])
+    vertices = src[~edge] if keep is None else keep
+    return PeelGraph.from_edges(np.sort(vertices), g.n_layers, layer[edge], src[edge], dst[edge])

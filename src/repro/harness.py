@@ -9,7 +9,8 @@ Engines: parameter sweeps default to the driver-local engine (the
 GD/BU/TD comparison is engine-independent — asserted by the test suite)
 so a full sweep stays in seconds; the scalability sweep (Figs. 26–27)
 runs the distributed pipeline, which is the component whose scaling is
-being measured. ``engine="hybrid"/"spark"`` may be forced anywhere.
+being measured. ``engine="hybrid"`` (Spark preprocessing, driver search)
+may be forced anywhere.
 """
 from __future__ import annotations
 
@@ -66,14 +67,19 @@ def get_context(
 ) -> DCCSContext:
     """Memoized preprocessing per (dataset, d, s, engine, vertex_del).
 
-    Non-local contexts are also keyed by the Spark application that built
-    them: a ``mode="spark"`` context holds DataFrames of its session.
+    ``engine`` is ``"local"`` (all on the driver) or ``"hybrid"`` (Spark
+    vertex deletion, see :func:`~repro.core.engine.spark_context`); any
+    other value, or ``"hybrid"`` without ``spark``, raises ``ValueError``.
+    Hybrid contexts are also keyed by the Spark application that built them.
     Returned contexts are *shared*; use :func:`run_algorithm`, which hands
     each algorithm a fresh zero-counter copy.
     """
+    if engine not in ("local", "hybrid"):
+        raise ValueError(f"unknown engine {engine!r}: use 'local' or 'hybrid'")
     app = None
-    if engine != "local":
-        assert spark is not None, "spark session required for non-local engines"
+    if engine == "hybrid":
+        if spark is None:
+            raise ValueError("the hybrid engine needs a Spark session")
         app = spark.sparkContext.applicationId
     key = (dataset, d, s, engine, vertex_del, app)
     if key not in _contexts:
@@ -82,9 +88,7 @@ def get_context(
             _contexts[key] = local_context(g, d, s, vertex_del=vertex_del)
         else:
             g, _ = load_spark(spark, dataset)
-            _contexts[key] = spark_context(
-                g, d, s, mode=engine, vertex_del=vertex_del
-            )
+            _contexts[key] = spark_context(g, d, s, vertex_del=vertex_del)
     return _contexts[key]
 
 
@@ -281,11 +285,19 @@ def sweep_scalability(
         g = MultiLayerGraph.from_pandas(
             spark, sub_pdf, n_layers=l, vertex_ids=range(1, n_vertices + 1)
         )
-        for s, algos in (
-            (config.S_SMALL_DEFAULT, ("GD-DCCS", "BU-DCCS")),
-            (config.s_large_default(l), ("TD-DCCS",)),
-        ):
-            ctx = spark_context(g, d, s, mode="hybrid")
+        try:
+            contexts = [
+                (spark_context(g, d, s), algos)
+                for s, algos in (
+                    (config.S_SMALL_DEFAULT, ("GD-DCCS", "BU-DCCS")),
+                    (config.s_large_default(l), ("TD-DCCS",)),
+                )
+            ]
+        finally:
+            # One session loads every point's graph; the searches need only the contexts.
+            g.edges.unpersist()
+            g.vertices.unpersist()
+        for ctx, algos in contexts:
             for algo in algos:
                 res = run_algorithm(algo, ctx, k, call_budget=call_budget, time_budget=time_budget)
                 rows.append(

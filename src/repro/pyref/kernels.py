@@ -1,9 +1,9 @@
-"""Reference kernels: d-core, d-CC peeling, preprocessing, RefineU.
+"""Reference kernels: d-core, d-CC peeling, preprocessing.
 
 These are straight-line implementations of the paper's procedures
-(Appendix B `dCC`, Section IV-C vertex deletion, Section V-B `RefineU`)
-over :class:`~repro.pyref.local_graph.LocalMLGraph`. They serve as the
-test oracle for the driver array peel and the distributed operators.
+(Appendix B `dCC`, Section IV-C vertex deletion) over
+:class:`~repro.pyref.local_graph.LocalMLGraph`. They serve as the test
+oracle for the driver array peel and the Spark vertex-deletion pass.
 """
 from __future__ import annotations
 
@@ -90,58 +90,3 @@ def vertex_deletion(
             return frozenset(alive), cores
         alive -= bad
 
-
-def refine_u(
-    g: LocalMLGraph,
-    cores: Dict[int, FrozenSet[int]],
-    d: int,
-    s: int,
-    U: Iterable[int],
-    L_prime: Sequence[int],
-) -> FrozenSet[int]:
-    """Shrink potential vertex set ``U_L`` to ``U_{L'}`` (Fig. 9, RefineU).
-
-    ``cores`` are the per-layer d-cores of the preprocessed graph (Method 2
-    consults these fixed cores, per Section V-B). Class 1 (``M``) holds the
-    layers of ``L'`` that remain in every descendant; Class 2 (``N``) the
-    removable ones.
-    """
-    full = set(g.layers)
-    lp = set(L_prime)
-    rest = full - lp
-    threshold = max(rest) if rest else float("-inf")
-    M = {j for j in lp if j < threshold}
-    N = lp - M
-    need = s - len(M)
-    U_cur: Set[int] = set(U)
-    while True:
-        removed: Set[int] = set()
-        # Refinement Method 1: degree within U on every Class-1 layer.
-        if M:
-            deg = {i: {v: g.degree(i, v, within=U_cur) for v in U_cur} for i in M}
-            stack = [v for v in U_cur if any(deg[i][v] < d for i in M)]
-            queued = set(stack)
-            while stack:
-                v = stack.pop()
-                if v in removed or v not in U_cur:
-                    continue
-                removed.add(v)
-                for i in M:
-                    deg_i = deg[i]
-                    for u in g.neighbors(i, v):
-                        if u in U_cur and u not in removed:
-                            deg_i[u] -= 1
-                            if deg_i[u] == d - 1 and u not in queued:
-                                stack.append(u)
-                                queued.add(u)
-            U_cur -= removed
-        # Refinement Method 2: membership in >= s - |M| of the Class-2 cores.
-        removed2 = set()
-        if need > 0:
-            for v in U_cur:
-                occ = sum(1 for j in N if v in cores[j])
-                if occ < need:
-                    removed2.add(v)
-            U_cur -= removed2
-        if not removed and not removed2:
-            return frozenset(U_cur)

@@ -1,4 +1,4 @@
-"""Engine equivalence: local ≡ hybrid ≡ pure-Spark for all three algorithms."""
+"""Engine equivalence: local ≡ hybrid for all three algorithms."""
 import pytest
 
 from repro.core import bu_dccs, gd_dccs, local_context, spark_context, td_dccs
@@ -25,17 +25,12 @@ def ctx_local(gl):
 
 @pytest.fixture(scope="module")
 def ctx_hybrid(gs):
-    return spark_context(gs, 2, 2, mode="hybrid")
+    return spark_context(gs, 2, 2)
 
 
-@pytest.fixture(scope="module")
-def ctx_spark(gs):
-    return spark_context(gs, 2, 2, mode="spark")
-
-
-def test_preprocessing_agrees(ctx_local, ctx_hybrid, ctx_spark):
-    assert ctx_local.vertices == ctx_hybrid.vertices == ctx_spark.vertices
-    assert ctx_local.cores == ctx_hybrid.cores == ctx_spark.cores
+def test_preprocessing_agrees(ctx_local, ctx_hybrid):
+    assert ctx_local.vertices == ctx_hybrid.vertices
+    assert ctx_local.cores == ctx_hybrid.cores
 
 
 def test_pruned_local_graph_agrees(ctx_local, ctx_hybrid):
@@ -44,28 +39,18 @@ def test_pruned_local_graph_agrees(ctx_local, ctx_hybrid):
 
 
 @pytest.mark.parametrize("algo", [gd_dccs, bu_dccs, td_dccs])
-def test_algorithms_identical_across_engines(algo, ctx_local, ctx_hybrid, ctx_spark):
+def test_algorithms_identical_across_engines(algo, ctx_local, ctx_hybrid):
     import dataclasses
 
-    results = [
-        algo(dataclasses.replace(c, n_dcc_calls=0), 2)
-        for c in (ctx_local, ctx_hybrid, ctx_spark)
-    ]
-    assert results[0].entries == results[1].entries == results[2].entries
-    assert (
-        results[0].n_dcc_calls
-        == results[1].n_dcc_calls
-        == results[2].n_dcc_calls
-    )
+    local, hybrid = (algo(dataclasses.replace(c, n_dcc_calls=0), 2) for c in (ctx_local, ctx_hybrid))
+    assert local.entries == hybrid.entries
+    assert local.n_dcc_calls == hybrid.n_dcc_calls
 
 
-def test_dcc_kernels_agree(ctx_local, ctx_hybrid, ctx_spark):
+def test_dcc_kernels_agree(ctx_local, ctx_hybrid):
     S = ctx_local.vertices
     for L in ([1], [1, 2], [1, 2, 3]):
-        a = ctx_local.dcc(S, L)
-        b = ctx_hybrid.dcc(S, L)
-        c = ctx_spark.dcc(S, L)
-        assert a == b == c
+        assert ctx_local.dcc(S, L) == ctx_hybrid.dcc(S, L)
 
 
 def test_call_budget_raises(ctx_local):
@@ -77,17 +62,11 @@ def test_call_budget_raises(ctx_local):
         ctx.run_dcc(ctx.vertices, [1])
 
 
-def test_invalid_mode_rejected(gs):
-    with pytest.raises(ValueError):
-        spark_context(gs, 2, 2, mode="nope")
-
-
 @pytest.mark.parametrize("s", [0, 4])
 def test_support_outside_layer_range_rejected(gl, gs, s):
     """local_context and spark_context raise on s outside 1..l (here l = 3)."""
     for vertex_del in (True, False):
         with pytest.raises(ValueError):
             local_context(gl, 2, s, vertex_del=vertex_del)
-        for mode in ("spark", "hybrid"):
-            with pytest.raises(ValueError):
-                spark_context(gs, 2, s, mode=mode, vertex_del=vertex_del)
+        with pytest.raises(ValueError):
+            spark_context(gs, 2, s, vertex_del=vertex_del)

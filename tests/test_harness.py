@@ -15,6 +15,7 @@ from repro.harness import (
     sweep_preprocessing_ablation,
     sweep_s_large,
     sweep_s_small,
+    sweep_scalability,
 )
 
 
@@ -43,6 +44,24 @@ def test_get_context_keyed_by_spark_session(monkeypatch):
     assert get_context("ppi-lite", 2, 2, engine="hybrid", spark=a) is ctx_a
     ctx_b = get_context("ppi-lite", 2, 2, engine="hybrid", spark=b)
     assert ctx_b is not ctx_a and ctx_b.g is b
+
+
+def test_get_context_rejects_unknown_engine():
+    """Only "local" and "hybrid" exist; anything else fails before any work."""
+    with pytest.raises(ValueError, match="unknown engine"):
+        get_context("ppi-lite", 2, 2, engine="spark", spark=None)
+
+
+def test_scalability_sweep_releases_graph_frames(spark):
+    """A sweep leaves no more persisted RDDs than it found: each point's graph
+    frames are unpersisted, and vertex deletion's Spark pass persists nothing."""
+    persistent = spark.sparkContext._jsc.getPersistentRDDs
+    before = persistent().size()
+    rows = sweep_scalability(
+        spark=spark, dataset="ppi-lite", p_values=(0.5,), q_values=(0.5,), d=2, k=2
+    )
+    assert len(rows) == 6
+    assert persistent().size() <= before
 
 
 def test_run_algorithm_isolates_counters():

@@ -96,3 +96,18 @@ def test_run_dccs_entrypoint(spark, capsys):
     g, _ = load_local("ppi-lite")
     want = [len(set(component_labels(g, set(C), L).values())) for L, C in res.entries]
     assert printed == want
+
+
+def test_run_dccs_rejects_other_engines(monkeypatch):
+    """The job runs the hybrid engine only, and says so before loading anything."""
+    import run_dccs
+
+    from repro import datasets
+
+    def no_load(*args, **kwargs):
+        raise AssertionError("loaded before the engine check")
+
+    monkeypatch.setattr(run_dccs, "get_spark", no_load)
+    monkeypatch.setattr(datasets, "load_spark", no_load)
+    with pytest.raises(ValueError, match="unknown engine"):
+        run_dccs.main(dataset="ppi-lite", engine="local")

@@ -2,7 +2,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.pyref import dcc, dcore, layer_cores, refine_u, support, vertex_deletion
+from repro.pyref import dcc, dcore, layer_cores, support, vertex_deletion
 from repro.pyref.local_graph import LocalMLGraph
 
 from .util import brute_force_dcc, random_mlg
@@ -143,27 +143,6 @@ def test_vertex_deletion_fixpoint(seed):
     survivors, cores = vertex_deletion(g, 2, 2)
     for v in survivors:
         assert support(cores, v) >= 2
-
-
-@pytest.mark.parametrize("seed", SEEDS)
-def test_refine_u_contains_descendant_dccs(seed):
-    """RefineU output must contain every level-s descendant d-CC (soundness)."""
-    from itertools import combinations
-
-    g = random_mlg(20, 4, 0.18, seed)
-    d, s = 2, 2
-    cores = layer_cores(g, d)
-    L_prime = [2, 3, 4]  # a node of the TD tree over 4 layers
-    U = refine_u(g, cores, d, s, g.vertices, L_prime)
-    for S in combinations(L_prime, s):
-        # descendants keep Class-1 layers; all size-s subsets is a superset
-        # of the true descendant set, so containment for all is stronger.
-        rest = set(range(1, 5)) - set(L_prime)
-        mx = max(rest) if rest else float("-inf")
-        class1 = {j for j in L_prime if j < mx}
-        if not class1 <= set(S):
-            continue
-        assert dcc(g, g.vertices, list(S), d) <= U
 
 
 @given(st.integers(0, 10_000), st.integers(1, 3), st.integers(1, 4))

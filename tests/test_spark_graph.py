@@ -63,7 +63,7 @@ def test_ingest_matches_local_graph(spark, seed, with_ids):
     got = [(r.layer, r.src, r.dst) for r in g.edges.collect()]
     assert len(got) == len(set(got))
     assert set(got) == set(gl.edges())
-    assert g.collect_vertex_set() == gl.vertices
+    assert {r.id for r in g.vertices.collect()} == gl.vertices
 
 
 def test_partition_rule():
@@ -124,25 +124,7 @@ def test_degrees_layer_filter(gs, gl):
         assert d == gl.degree(2, v)
 
 
-def test_induced_matches_local(gs, gl):
-    S = set(list(gl.vertices)[:20])
-    sub = gs.induced(S)
-    assert sub.to_local().induced(S).vertices == frozenset(S)
-    local_sub = gl.induced(S)
-    assert set(sub.to_local().edges()) == set(local_sub.edges())
-
-
-def test_induced_empty(gs):
-    sub = gs.induced(set())
-    assert sub.vertices.count() == 0
-    assert sub.edges.count() == 0
-
-
-def test_collect_vertex_set(gs, gl):
-    assert gs.collect_vertex_set() == gl.vertices
-
-
 def test_isolated_vertices_preserved(spark):
     pdf = pd.DataFrame({"layer": [1], "src": [1], "dst": [2]})
     g = MultiLayerGraph.from_pandas(spark, pdf, n_layers=1, vertex_ids=[1, 2, 3])
-    assert g.collect_vertex_set() == frozenset({1, 2, 3})
+    assert {r.id for r in g.vertices.collect()} == {1, 2, 3}

@@ -1,9 +1,8 @@
-"""Distributed operators (d-CC, the vertex-deletion fixpoint) vs pyref, and
-the driver connected components of the jobs."""
+"""The Spark vertex-deletion pass and its driver finish vs pyref, and the
+driver connected components of the jobs."""
 import pytest
 
 from repro.core.components import connected_components
-from repro.core.dcc import dcc_set
 from repro.core.graph import MultiLayerGraph
 from repro.core.peel import PeelGraph
 from repro.core.preprocess import vertex_deletion
@@ -15,8 +14,8 @@ from .util import component_labels, random_mlg
 CASCADE_D = 3
 CASCADE_BLOCKS = 16
 #: Spark jobs of one vertex_deletion call on the cascade graph, as
-#: measured: the ``Num(v) >= s`` pass, the broadcast of ``keep`` and the
-#: collect. The pass is one job because the one-partition graph frames of a
+#: measured: the ``Num(v) >= s`` pass that collects ``keep``, the broadcast
+#: of ``keep`` and the collect of ``G[keep]``. The pass is one job because the one-partition graph frames of a
 #: small graph need no shuffle before its aggregates; its driver peel takes
 #: up to 24 rounds.
 MAX_SPARK_JOBS = 3
@@ -84,27 +83,6 @@ def check_fixpoint(gs: MultiLayerGraph, gl: LocalMLGraph, d: int, s: int) -> Non
     assert pre.survivors == survivors == pre.graph.vertices
     assert pre.cores_by_layer() == cores
     assert set(pre.graph.edges()) == set(gl.induced(survivors).edges())
-
-
-@pytest.mark.parametrize("L", [[1], [1, 2], [1, 2, 3], [2, 3]])
-def test_dcc_matches_pyref(gs, gl, L):
-    assert dcc_set(gs, L, 2) == pk.dcc(gl, gl.vertices, L, 2)
-
-
-def test_dcc_with_start_set(gs, gl):
-    S = frozenset(sorted(gl.vertices)[:20])
-    assert dcc_set(gs, [1, 2], 2, S) == pk.dcc(gl, S, [1, 2], 2)
-
-
-def test_dcc_d0_and_empty_L(gs, gl):
-    assert dcc_set(gs, [], 3) == gl.vertices
-    assert dcc_set(gs, [1], 0) == gl.vertices
-
-
-def test_dcc_empty_start(gs):
-    assert dcc_set(gs, [1], 2, frozenset()) == frozenset()
-
-
 
 
 @pytest.mark.parametrize("d", [0, 1, 2, 3])
@@ -178,10 +156,11 @@ def test_layer_cores_d0_includes_isolated(gs_iso, gl_iso):
     assert cores == {i: gl_iso.vertices for i in gl_iso.layers}
 
 
-def test_layer_cores_within_restriction(gs, gl):
+def test_layer_cores_within_restriction(spark, gl):
     """The cores of an induced subgraph are pyref's cores restricted to it."""
     S = set(sorted(gl.vertices)[:25])
-    got = vertex_deletion(gs.induced(S), 2, 1, vertex_del=False).cores_by_layer()
+    sub = MultiLayerGraph.from_local(spark, gl.induced(S))
+    got = vertex_deletion(sub, 2, 1, vertex_del=False).cores_by_layer()
     assert got == pk.layer_cores(gl, 2, S)
 
 

@@ -1,20 +1,14 @@
 """Fig. 12 benchmark: distributed dataset-statistics computation."""
 import pytest
 
+from . import time_table
+
 
 @pytest.mark.benchmark(group="fig12")
 def test_fig12_dataset_stats(benchmark, spark):
-    import sys
-
-    sys.path.insert(0, "jobs")
-    from table_fig12_datasets import main
-
     from repro.datasets import SPECS
-    from repro.harness import rows_to_markdown, save_rows
 
-    rows = benchmark.pedantic(lambda: main(spark=spark), rounds=1, iterations=1)
-    save_rows("fig12_datasets", rows)
-    print("\n" + rows_to_markdown(rows))
+    rows = time_table(benchmark, "fig12_datasets", spark=spark)
     assert len(rows) == len(SPECS)
     for r in rows:
         assert r["l"] == SPECS[r["dataset"]].l  # layer counts match the paper

@@ -5,14 +5,12 @@ GD-DCCS at the small-s defaults, and both covers shrink as s grows.
 """
 import pytest
 
+from . import time_table
+
 
 @pytest.mark.benchmark(group="fig14_16")
 def test_fig14_16_sweep_s_small(benchmark):
-    from repro.harness import rows_to_markdown, save_rows, sweep_s_small
-
-    rows = benchmark.pedantic(sweep_s_small, rounds=1, iterations=1)
-    save_rows("fig14_16_s_small", rows)
-    print("\n" + rows_to_markdown(rows))
+    rows = time_table(benchmark, "fig14_16_s_small")
 
     by = {(r["dataset"], r["algorithm"], r["s"]): r for r in rows}
     for name in ("english-lite", "stack-lite"):

@@ -5,16 +5,15 @@ can be worse than GD-DCCS; covers shrink as s grows.
 """
 import pytest
 
+from . import time_table
+
 
 @pytest.mark.benchmark(group="fig15_17")
 def test_fig15_17_sweep_s_large(benchmark):
     from repro.config import s_large_values
     from repro.datasets import SPECS
-    from repro.harness import rows_to_markdown, save_rows, sweep_s_large
 
-    rows = benchmark.pedantic(sweep_s_large, rounds=1, iterations=1)
-    save_rows("fig15_17_s_large", rows)
-    print("\n" + rows_to_markdown(rows))
+    rows = time_table(benchmark, "fig15_17_s_large")
 
     by = {(r["dataset"], r["algorithm"], r["s"]): r for r in rows}
     for name in ("german-lite", "author-lite"):

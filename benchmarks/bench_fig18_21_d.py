@@ -5,14 +5,12 @@ grows (Property 2), and BU/TD stay ahead of GD.
 """
 import pytest
 
+from . import time_table
+
 
 @pytest.mark.benchmark(group="fig18_21")
 def test_fig18_21_sweep_d(benchmark):
-    from repro.harness import rows_to_markdown, save_rows, sweep_d
-
-    rows = benchmark.pedantic(sweep_d, rounds=1, iterations=1)
-    save_rows("fig18_21_d", rows)
-    print("\n" + rows_to_markdown(rows))
+    rows = time_table(benchmark, "fig18_21_d")
 
     # covers shrink with d (hierarchy property) per dataset/algorithm/s
     series = {}

@@ -5,14 +5,12 @@ Shape claims: BU/TD runtimes are insensitive to k; cover grows with k
 """
 import pytest
 
+from . import time_table
+
 
 @pytest.mark.benchmark(group="fig22_25")
 def test_fig22_25_sweep_k(benchmark):
-    from repro.harness import rows_to_markdown, save_rows, sweep_k
-
-    rows = benchmark.pedantic(sweep_k, rounds=1, iterations=1)
-    save_rows("fig22_25_k", rows)
-    print("\n" + rows_to_markdown(rows))
+    rows = time_table(benchmark, "fig22_25_k")
 
     series = {}
     for r in rows:

@@ -7,16 +7,12 @@ point on subsampled stack-lite. Shape claims: runtime grows with p
 """
 import pytest
 
+from . import time_table
+
 
 @pytest.mark.benchmark(group="fig26_27")
 def test_fig26_27_scalability(benchmark, spark):
-    from repro.harness import rows_to_markdown, save_rows, sweep_scalability
-
-    rows = benchmark.pedantic(
-        lambda: sweep_scalability(spark=spark), rounds=1, iterations=1
-    )
-    save_rows("fig26_27_scalability", rows)
-    print("\n" + rows_to_markdown(rows))
+    rows = time_table(benchmark, "fig26_27_scalability", spark=spark)
 
     def series(knob, algo, field):
         return sorted(

@@ -6,20 +6,12 @@ No-Pre is the slowest configuration.
 """
 import pytest
 
+from . import time_table
+
 
 @pytest.mark.benchmark(group="fig28")
 def test_fig28_preprocessing_ablation(benchmark):
-    from repro.harness import (
-        rows_to_markdown,
-        save_rows,
-        sweep_preprocessing_ablation,
-    )
-
-    rows = benchmark.pedantic(
-        sweep_preprocessing_ablation, rounds=1, iterations=1
-    )
-    save_rows("fig28_preprocessing", rows)
-    print("\n" + rows_to_markdown(rows))
+    rows = time_table(benchmark, "fig28_preprocessing")
 
     by = {(r["algorithm"], r["variant"]): r for r in rows}
     for algo in ("BU-DCCS", "TD-DCCS"):

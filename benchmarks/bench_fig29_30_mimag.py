@@ -6,14 +6,12 @@ the mined quasi-cliques are overwhelmingly contained in Cov(R_C).
 """
 import pytest
 
+from . import time_table
+
 
 @pytest.mark.benchmark(group="fig29_30")
 def test_fig29_mimag_comparison(benchmark):
-    from repro.harness import mimag_comparison, rows_to_markdown, save_rows
-
-    rows, _ = benchmark.pedantic(mimag_comparison, rounds=1, iterations=1)
-    save_rows("fig29_mimag", rows)
-    print("\n" + rows_to_markdown(rows))
+    rows = time_table(benchmark, "fig29_mimag")
 
     by = {(r["dataset"], r["d"], r["algorithm"]): r for r in rows}
     for name in ("ppi-lite", "author-lite"):
@@ -27,15 +25,7 @@ def test_fig29_mimag_comparison(benchmark):
 
 @pytest.mark.benchmark(group="fig29_30")
 def test_fig30_containment_distribution(benchmark):
-    from repro.harness import (
-        containment_distribution,
-        rows_to_markdown,
-        save_rows,
-    )
-
-    rows = benchmark.pedantic(containment_distribution, rounds=1, iterations=1)
-    save_rows("fig30_containment", rows)
-    print("\n" + rows_to_markdown(rows))
+    rows = time_table(benchmark, "fig30_containment")
 
     # most quasi-cliques are entirely inside Cov(R_C) (paper: 70%+ fully)
     for r in rows:

@@ -1,15 +1,11 @@
-"""Shared plumbing for spark-submit job entrypoints.
+"""The Spark session of the spark-submit entrypoints in ``jobs/``.
 
-Each job exposes ``main(spark=None, **overrides) -> rows`` so tests can
-drive it with the session fixture and tiny parameters, while
-``python jobs/<name>.py`` / ``spark-submit jobs/<name>.py`` runs the full
-table and writes ``results/<table>.{md,json}``.
+``run_table.py`` computes one paper table and ``run_dccs.py`` runs one
+query; each starts a session here only when it needs Spark.
 """
 from __future__ import annotations
 
 import os
-import sys
-from typing import Optional
 
 from pyspark.sql import SparkSession
 
@@ -37,12 +33,3 @@ def get_spark(app: str) -> SparkSession:
     spark.sparkContext.setLogLevel("ERROR")
     return spark
 
-
-def emit(table_name: str, rows) -> None:
-    """Print the table and persist it under results/."""
-    from repro.harness import rows_to_markdown, save_rows
-
-    print(f"\n== {table_name} ==")
-    print(rows_to_markdown(rows))
-    path = save_rows(table_name, rows)
-    print(f"saved -> {path}", file=sys.stderr)

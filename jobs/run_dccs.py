@@ -24,13 +24,24 @@ def main(
     k: int = 10,
     engine: str = "hybrid",
 ):
+    """Run ``algo`` on ``dataset`` and print its cores; returns the ``DCCSResult``.
+
+    Raises ``ValueError`` before any session or data is touched when the
+    engine, algorithm or dataset is unknown, or when ``s`` lies outside
+    ``1..l`` or ``k < 1``.
+    """
     if engine != "hybrid":
         raise ValueError(f"unknown engine {engine!r}: this job runs 'hybrid' only")
     from repro.core import components
-    from repro.datasets import load_spark
+    from repro.core.engine import check_query, spark_context
+    from repro.datasets import SPECS, load_spark
     from repro.harness import ALGOS
-    from repro.core.engine import spark_context
 
+    if algo not in ALGOS:
+        raise ValueError(f"unknown algo {algo!r}: use one of {', '.join(ALGOS)}")
+    if dataset not in SPECS:
+        raise ValueError(f"unknown dataset {dataset!r}: use one of {', '.join(SPECS)}")
+    check_query(SPECS[dataset].l, s, k)
     spark = spark or get_spark("run_dccs")
     g, _ = load_spark(spark, dataset)
     ctx = spark_context(g, d, s)

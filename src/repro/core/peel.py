@@ -137,8 +137,11 @@ class PeelGraph:
         """Subgraph on the ascending dense indices ``keep`` and the 0-based ``layers``.
 
         The subgraph's layers are renumbered ``1..len(layers)`` in the given order.
+        Raises ``ValueError`` for a layer outside ``0..n_layers - 1``.
         """
         layer_ix = np.arange(self.n_layers) if layers is None else np.asarray(layers, np.int64)
+        if len(layer_ix) and (layer_ix.min() < 0 or layer_ix.max() >= self.n_layers):
+            raise ValueError(f"layers {(layer_ix + 1).tolist()} outside 1..{self.n_layers}")
         pos = np.full(self.n, -1, np.int32)
         pos[keep] = np.arange(len(keep), dtype=np.int32)
         rows = (layer_ix[:, None] * self.n + keep).ravel()
@@ -171,8 +174,6 @@ class PeelGraph:
         if not L or d <= 0:
             return frozenset(S)
         layers = np.unique(np.asarray(L, np.int64)) - 1
-        if layers[0] < 0 or layers[-1] >= self.n_layers:
-            raise ValueError(f"layers {list(L)} outside 1..{self.n_layers}")
         sub = self.induced(self.index(S), layers)
         return sub.vertex_set(Peel(sub, d).run(len(layers)).alive)
 

@@ -1,9 +1,11 @@
 """Experiment harness: context caching, algorithm dispatch, sweeps, tables.
 
-Every evaluation table of the paper maps to one sweep function here (see
-DESIGN.md §3); ``jobs/`` wraps them for spark-submit and ``benchmarks/``
-wraps them for pytest-benchmark, both printing the same rows recorded in
-EXPERIMENTS.md.
+Every evaluation table of the paper has one entry in :data:`TABLES`: the
+stem of its committed ``results/<name>.{json,md}`` and the function that
+computes its rows (see DESIGN.md §3). :func:`write_table` prints and saves
+a table; ``jobs/run_table.py <name>`` (spark-submit) and ``benchmarks/``
+(pytest-benchmark) both compute a table through the registry and write it
+with that one writer. EXPERIMENTS.md quotes the saved rows.
 
 Engines: parameter sweeps default to the driver-local engine (the
 GD/BU/TD comparison is engine-independent — asserted by the test suite)
@@ -17,11 +19,12 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
+import sys
 import time
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import config
-from .baseline.mimag import MiMAGResult, mimag
+from .baseline.mimag import mimag
 from .core.bottom_up import bu_dccs
 from .core.engine import (
     CallBudgetExceeded,
@@ -157,6 +160,15 @@ DEFAULT_BUDGET = 30_000
 DEFAULT_TIME_BUDGET = 180.0  # seconds; DNF past this (lower-bound row)
 
 
+def _run_rows(
+    dataset: str, ctx: DCCSContext, algos: Sequence[str], k: int, call_budget: int,
+    time_budget: float, flags: Optional[Dict[str, bool]] = None, **extra,
+) -> List[Dict]:
+    """One row per algorithm of ``algos``, each run on ``ctx`` within the budgets."""
+    run_kw = dict(call_budget=call_budget, time_budget=time_budget, **(flags or {}))
+    return [_row(dataset, run_algorithm(algo, ctx, k, **run_kw), **extra) for algo in algos]
+
+
 def sweep_s_small(
     *,
     datasets: Sequence[str] = ("english-lite", "stack-lite"),
@@ -173,9 +185,7 @@ def sweep_s_small(
     for name in datasets:
         for s in s_values:
             ctx = get_context(name, d, s, engine=engine, spark=spark)
-            for algo in ("GD-DCCS", "BU-DCCS"):
-                res = run_algorithm(algo, ctx, k, call_budget=call_budget, time_budget=time_budget)
-                rows.append(_row(name, res))
+            rows += _run_rows(name, ctx, ("GD-DCCS", "BU-DCCS"), k, call_budget, time_budget)
     return rows
 
 
@@ -192,12 +202,23 @@ def sweep_s_large(
     """Figs. 15 & 17: time and cover vs large ``s`` (GD vs BU vs TD)."""
     rows = []
     for name in datasets:
-        l = SPECS[name].l
-        for s in config.s_large_values(l):
+        for s in config.s_large_values(SPECS[name].l):
             ctx = get_context(name, d, s, engine=engine, spark=spark)
-            for algo in ("GD-DCCS", "BU-DCCS", "TD-DCCS"):
-                res = run_algorithm(algo, ctx, k, call_budget=call_budget, time_budget=time_budget)
-                rows.append(_row(name, res))
+            rows += _run_rows(name, ctx, ("GD-DCCS", "BU-DCCS", "TD-DCCS"), k, call_budget, time_budget)
+    return rows
+
+
+def _default_s_rows(
+    name: str, d: int, k: int, engine: str, spark, call_budget: int, time_budget: float
+) -> List[Dict]:
+    """GD/BU at the small-s default, then GD/TD at the large-s default ``l − 2``."""
+    rows = []
+    for s, algos in (
+        (config.S_SMALL_DEFAULT, ("GD-DCCS", "BU-DCCS")),
+        (config.s_large_default(SPECS[name].l), ("GD-DCCS", "TD-DCCS")),
+    ):
+        ctx = get_context(name, d, s, engine=engine, spark=spark)
+        rows += _run_rows(name, ctx, algos, k, call_budget, time_budget)
     return rows
 
 
@@ -214,18 +235,8 @@ def sweep_d(
     """Figs. 18–21: time and cover vs ``d`` — GD/BU at s=3, GD/TD at s=l−2."""
     rows = []
     for name in datasets:
-        l = SPECS[name].l
         for d in d_values:
-            ctx = get_context(name, d, config.S_SMALL_DEFAULT, engine=engine, spark=spark)
-            for algo in ("GD-DCCS", "BU-DCCS"):
-                rows.append(
-                    _row(name, run_algorithm(algo, ctx, k, call_budget=call_budget, time_budget=time_budget))
-                )
-            ctx = get_context(name, d, config.s_large_default(l), engine=engine, spark=spark)
-            for algo in ("GD-DCCS", "TD-DCCS"):
-                rows.append(
-                    _row(name, run_algorithm(algo, ctx, k, call_budget=call_budget, time_budget=time_budget))
-                )
+            rows += _default_s_rows(name, d, k, engine, spark, call_budget, time_budget)
     return rows
 
 
@@ -242,18 +253,8 @@ def sweep_k(
     """Figs. 22–25: time and cover vs ``k`` — GD/BU at s=3, GD/TD at s=l−2."""
     rows = []
     for name in datasets:
-        l = SPECS[name].l
         for k in k_values:
-            ctx = get_context(name, d, config.S_SMALL_DEFAULT, engine=engine, spark=spark)
-            for algo in ("GD-DCCS", "BU-DCCS"):
-                rows.append(
-                    _row(name, run_algorithm(algo, ctx, k, call_budget=call_budget, time_budget=time_budget))
-                )
-            ctx = get_context(name, d, config.s_large_default(l), engine=engine, spark=spark)
-            for algo in ("GD-DCCS", "TD-DCCS"):
-                rows.append(
-                    _row(name, run_algorithm(algo, ctx, k, call_budget=call_budget, time_budget=time_budget))
-                )
+            rows += _default_s_rows(name, d, k, engine, spark, call_budget, time_budget)
     return rows
 
 
@@ -298,17 +299,12 @@ def sweep_scalability(
             g.edges.unpersist()
             g.vertices.unpersist()
         for ctx, algos in contexts:
-            for algo in algos:
-                res = run_algorithm(algo, ctx, k, call_budget=call_budget, time_budget=time_budget)
-                rows.append(
-                    _row(
-                        dataset,
-                        res,
-                        knob=knob,
-                        value=value,
-                        preprocess_seconds=round(ctx.preprocess_seconds, 3),
-                    )
+            rows.extend(
+                _run_rows(
+                    dataset, ctx, algos, k, call_budget, time_budget,
+                    knob=knob, value=value, preprocess_seconds=round(ctx.preprocess_seconds, 3),
                 )
+            )
 
     for p in p_values:
         sub, kept = subsample_vertices(pdf, spec, p)
@@ -317,6 +313,17 @@ def sweep_scalability(
         sub, l_kept = subsample_layers(pdf, spec, q)
         run_point(sub, l_kept, spec.n, "q", q)
     return rows
+
+
+# Fig. 28 variants: whether the context runs vertex deletion, and the search
+# flags for layer sorting and result initialisation.
+ABLATION_VARIANTS: Dict[str, Tuple[bool, Dict[str, bool]]] = {
+    "Full": (True, dict(sort_layers=True, init_result=True)),
+    "No-VD": (False, dict(sort_layers=True, init_result=True)),
+    "No-SL": (True, dict(sort_layers=False, init_result=True)),
+    "No-IR": (True, dict(sort_layers=True, init_result=False)),
+    "No-Pre": (False, dict(sort_layers=False, init_result=False)),
+}
 
 
 def sweep_preprocessing_ablation(
@@ -330,36 +337,52 @@ def sweep_preprocessing_ablation(
     time_budget: float = DEFAULT_TIME_BUDGET,
 ) -> List[Dict]:
     """Fig. 28: disable each preprocessing method in BU (s=3) and TD (s=l−2)."""
-    l = SPECS[dataset].l
-    variants = {
-        "Full": dict(vd=True, sort_layers=True, init_result=True),
-        "No-VD": dict(vd=False, sort_layers=True, init_result=True),
-        "No-SL": dict(vd=True, sort_layers=False, init_result=True),
-        "No-IR": dict(vd=True, sort_layers=True, init_result=False),
-        "No-Pre": dict(vd=False, sort_layers=False, init_result=False),
-    }
     rows = []
-    for algo, s in (("BU-DCCS", config.S_SMALL_DEFAULT), ("TD-DCCS", config.s_large_default(l))):
-        for vname, v in variants.items():
-            ctx = get_context(
-                dataset, d, s, engine=engine, spark=spark, vertex_del=v["vd"]
+    for algo, s in (
+        ("BU-DCCS", config.S_SMALL_DEFAULT),
+        ("TD-DCCS", config.s_large_default(SPECS[dataset].l)),
+    ):
+        for vname, (vertex_del, flags) in ABLATION_VARIANTS.items():
+            ctx = get_context(dataset, d, s, engine=engine, spark=spark, vertex_del=vertex_del)
+            rows += _run_rows(
+                dataset, ctx, (algo,), k, call_budget, time_budget, flags=flags, variant=vname
             )
-            res = run_algorithm(
-                algo,
-                ctx,
-                k,
-                call_budget=call_budget,
-                time_budget=time_budget,
-                sort_layers=v["sort_layers"],
-                init_result=v["init_result"],
-            )
-            rows.append(_row(dataset, res, variant=vname))
     return rows
 
 
 # ---------------------------------------------------------------------------
-# MiMAG comparison (Figs. 29–30)
+# Dataset statistics (Fig. 12) and the MiMAG comparison (Figs. 29–30)
 # ---------------------------------------------------------------------------
+
+
+def dataset_stats(*, spark, datasets: Optional[Sequence[str]] = None) -> List[Dict]:
+    """Fig. 12: |V|, Σ|Ei|, |∪Ei| and l of each synthetic stand-in, on Spark."""
+    rows = []
+    for name in datasets or list(SPECS):
+        g, _ = load_spark(spark, name)
+        st = g.stats()
+        spec = SPECS[name]
+        rows.append(
+            {
+                "dataset": name,
+                "paper_dataset": spec.paper_name,
+                "V": st["n_vertices"],
+                "sum_E": st["sum_edges"],
+                "union_E": st["union_edges"],
+                "l": st["n_layers"],
+                "paper_V": spec.paper_stats[0],
+                "paper_sum_E": spec.paper_stats[1],
+                "paper_union_E": spec.paper_stats[2],
+            }
+        )
+    return rows
+
+
+def _proportion(truth: Sequence[frozenset], found: Sequence[frozenset]) -> float:
+    """Fraction of the ``truth`` sets contained in some set of ``found``."""
+    if not truth:
+        return 0.0
+    return sum(any(c <= f for f in found) for c in truth) / len(truth)
 
 
 def mimag_comparison(
@@ -369,7 +392,7 @@ def mimag_comparison(
     gamma: float = 0.8,
     k: int = config.K_DEFAULT,
     node_budget: int = 400_000,
-) -> Tuple[List[Dict], Dict[Tuple[str, int], Tuple[DCCSResult, MiMAGResult]]]:
+) -> List[Dict]:
     """Fig. 29: MiMAG vs BU-DCCS — time, size, precision/recall/F1, proportion.
 
     Per the paper: ``s = l/2`` for both, MiMAG min size ``d' = d + 1`` so
@@ -380,68 +403,35 @@ def mimag_comparison(
     from .datasets import ground_truth_complexes
 
     rows = []
-    raw: Dict[Tuple[str, int], Tuple[DCCSResult, MiMAGResult]] = {}
     for name in datasets:
         g, _ = get_local(name)
         truth = ground_truth_complexes(name)
         s = SPECS[name].l // 2
         for d in d_values:
-            ctx = get_context(name, d, s)
-            bu = run_algorithm("BU-DCCS", ctx, k)
-            mg = mimag(
-                g, gamma=gamma, min_size=d + 1, s=s, node_budget=node_budget
-            )
-            raw[(name, d)] = (bu, mg)
+            bu = run_algorithm("BU-DCCS", get_context(name, d, s), k)
+            mg = mimag(g, gamma=gamma, min_size=d + 1, s=s, node_budget=node_budget)
             cov_c, cov_q = bu.cover, mg.cover()
             inter = len(cov_c & cov_q)
             precision = inter / len(cov_c) if cov_c else 0.0
             recall = inter / len(cov_q) if cov_q else 0.0
-            f1 = (
-                2 * precision * recall / (precision + recall)
-                if precision + recall
-                else 0.0
-            )
-
-            def proportion(cover_sets: Iterable[frozenset]) -> float:
-                sets = list(cover_sets)
-                if not truth:
-                    return 0.0
-                found = sum(
-                    1 for c in truth if any(c <= s_ for s_ in sets)
+            f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
+            scores = {"precision": round(precision, 3), "recall": round(recall, 3), "f1": round(f1, 3)}
+            for algo, seconds, cov, found in (
+                ("MiMAG", mg.seconds, cov_q, [c.vertices for c in mg.clusters]),
+                ("BU-DCCS", bu.seconds, cov_c, [C for _, C in bu.entries]),
+            ):
+                rows.append(
+                    {
+                        "dataset": name,
+                        "d": d,
+                        "algorithm": algo,
+                        "seconds": round(seconds, 3),
+                        "cov": len(cov),
+                        **scores,
+                        "proportion": round(_proportion(truth, found), 3),
+                    }
                 )
-                return found / len(truth)
-
-            rows.append(
-                {
-                    "dataset": name,
-                    "d": d,
-                    "algorithm": "MiMAG",
-                    "seconds": round(mg.seconds, 3),
-                    "cov": len(cov_q),
-                    "precision": round(precision, 3),
-                    "recall": round(recall, 3),
-                    "f1": round(f1, 3),
-                    "proportion": round(
-                        proportion(c.vertices for c in mg.clusters), 3
-                    ),
-                }
-            )
-            rows.append(
-                {
-                    "dataset": name,
-                    "d": d,
-                    "algorithm": "BU-DCCS",
-                    "seconds": round(bu.seconds, 3),
-                    "cov": len(cov_c),
-                    "precision": round(precision, 3),
-                    "recall": round(recall, 3),
-                    "f1": round(f1, 3),
-                    "proportion": round(
-                        proportion(C for _, C in bu.entries), 3
-                    ),
-                }
-            )
-    return rows, raw
+    return rows
 
 
 def containment_distribution(
@@ -488,8 +478,23 @@ def containment_distribution(
 
 
 # ---------------------------------------------------------------------------
-# Table output helpers
+# Table registry and output
 # ---------------------------------------------------------------------------
+
+# Each paper table by the stem of its committed results/<name>.{json,md}, to
+# the function that computes its rows. A function with a required ``spark``
+# parameter needs a Spark session.
+TABLES: Dict[str, Callable[..., List[Dict]]] = {
+    "fig12_datasets": dataset_stats,
+    "fig14_16_s_small": sweep_s_small,
+    "fig15_17_s_large": sweep_s_large,
+    "fig18_21_d": sweep_d,
+    "fig22_25_k": sweep_k,
+    "fig26_27_scalability": sweep_scalability,
+    "fig28_preprocessing": sweep_preprocessing_ablation,
+    "fig29_mimag": mimag_comparison,
+    "fig30_containment": containment_distribution,
+}
 
 
 def rows_to_markdown(rows: Sequence[Dict]) -> str:
@@ -516,3 +521,10 @@ def save_rows(name: str, rows: Sequence[Dict]) -> str:
     with open(md_path, "w") as f:
         f.write(rows_to_markdown(rows))
     return md_path
+
+
+def write_table(name: str, rows: Sequence[Dict]) -> None:
+    """Print ``rows`` as a markdown table and save them to ``results/<name>.{json,md}``."""
+    print(f"\n== {name} ==")
+    print(rows_to_markdown(rows))
+    print(f"saved -> {save_rows(name, rows)}", file=sys.stderr)

@@ -1,13 +1,19 @@
-"""Golden replay: the stored Figs. 15/17 rows, recomputed on the local engine."""
+"""Golden replay: stored rows of Figs. 15/17 and Fig. 28, recomputed on the local engine."""
 import json
 import os
 
 import pytest
 
-from repro.harness import RESULTS_DIR, get_context, run_algorithm
+from repro.harness import ABLATION_VARIANTS, RESULTS_DIR, get_context, run_algorithm
 
-with open(os.path.join(RESULTS_DIR, "fig15_17_s_large.json")) as f:
-    ROWS = [r for r in json.load(f) if r["dataset"] in ("author-lite", "german-lite")]
+
+def _rows(name):
+    with open(os.path.join(RESULTS_DIR, f"{name}.json")) as f:
+        return json.load(f)
+
+
+ROWS = [r for r in _rows("fig15_17_s_large") if r["dataset"] in ("author-lite", "german-lite")]
+ABLATION_ROWS = [r for r in _rows("fig28_preprocessing") if r["dataset"] == "english-lite"]
 
 
 @pytest.mark.parametrize(
@@ -16,4 +22,15 @@ with open(os.path.join(RESULTS_DIR, "fig15_17_s_large.json")) as f:
 def test_replay_s_large(row):
     ctx = get_context(row["dataset"], row["d"], row["s"])
     res = run_algorithm(row["algorithm"], ctx, row["k"])
+    assert (res.cov_size, res.n_dcc_calls) == (row["cov"], row["dcc_calls"])
+
+
+@pytest.mark.parametrize(
+    "row", ABLATION_ROWS, ids=[f"{r['variant']}-{r['algorithm']}-s{r['s']}" for r in ABLATION_ROWS]
+)
+def test_replay_preprocessing_ablation(row):
+    """The Fig. 28 variants: No-VD contexts and the BU/TD search flags."""
+    vertex_del, flags = ABLATION_VARIANTS[row["variant"]]
+    ctx = get_context(row["dataset"], row["d"], row["s"], vertex_del=vertex_del)
+    res = run_algorithm(row["algorithm"], ctx, row["k"], **flags)
     assert (res.cov_size, res.n_dcc_calls) == (row["cov"], row["dcc_calls"])

@@ -1,85 +1,108 @@
-"""Smoke tests: every job entrypoint runs at reduced scale and yields rows."""
+"""Smoke tests: every table of the registry runs at reduced scale and yields
+rows, ``run_table`` writes exactly its table, and ``run_dccs`` runs one query."""
+import json
+import os
 import re
 import sys
+from functools import partial
 
 import pytest
 
+from repro import harness
+from repro.harness import RESULTS_DIR, TABLES
+
 sys.path.insert(0, "jobs")
+import run_table  # noqa: E402
+
+# Per table: reduced overrides for its function, and the rows they give.
+CASES = {
+    "fig12_datasets": (dict(datasets=["ppi-lite"]), 1),
+    "fig14_16_s_small": (dict(datasets=("ppi-lite",), s_values=(1, 2), k=2), 4),
+    "fig15_17_s_large": (dict(datasets=("ppi-lite",), k=2), 15),
+    "fig18_21_d": (dict(datasets=("ppi-lite",), d_values=(2,), k=2), 4),
+    "fig22_25_k": (dict(datasets=("ppi-lite",), k_values=(2,), d=2), 4),
+    "fig26_27_scalability": (
+        dict(dataset="ppi-lite", p_values=(0.5,), q_values=(0.5,), d=2, k=2),
+        6,  # 2 knob points x 3 algorithm runs
+    ),
+    "fig28_preprocessing": (dict(dataset="ppi-lite", d=2, k=2), 10),
+    "fig29_mimag": (dict(datasets=("ppi-lite",), d_values=(2,)), 2),
+    "fig30_containment": (dict(datasets=("ppi-lite",), d=2), 3),
+}
+
+
+def run_case(name, spark):
+    """Table ``name`` at its reduced overrides; checks the row count."""
+    fn, (overrides, n_rows) = TABLES[name], CASES[name]
+    rows = fn(spark=spark, **overrides) if run_table.needs_spark(fn) else fn(**overrides)
+    assert len(rows) == n_rows
+    return rows
+
+
+def test_cases_cover_the_registry():
+    assert set(CASES) == set(TABLES)
+    assert {n for n in TABLES if run_table.needs_spark(TABLES[n])} == {
+        "fig12_datasets",
+        "fig26_27_scalability",
+    }
 
 
 def test_table_fig12(spark):
-    from table_fig12_datasets import main
-
-    rows = main(spark=spark, datasets=["ppi-lite"])
-    assert rows[0]["V"] == 328
-    assert rows[0]["l"] == 8
-    assert rows[0]["paper_V"] == 328
+    row = run_case("fig12_datasets", spark)[0]
+    assert (row["V"], row["l"], row["paper_V"]) == (328, 8, 328)
 
 
 def test_sweep_fig14_16(spark):
-    from sweep_fig14_16_s_small import main
-
-    rows = main(spark=spark, datasets=("ppi-lite",), s_values=(1, 2), k=2)
-    assert len(rows) == 4
+    run_case("fig14_16_s_small", spark)
 
 
 def test_sweep_fig15_17(spark):
-    from sweep_fig15_17_s_large import main
-
-    rows = main(spark=spark, datasets=("ppi-lite",), k=2)
-    assert len(rows) == 15
+    run_case("fig15_17_s_large", spark)
 
 
 def test_sweep_fig18_21(spark):
-    from sweep_fig18_21_d import main
-
-    rows = main(spark=spark, datasets=("ppi-lite",), d_values=(2,), k=2)
-    assert len(rows) == 4
+    run_case("fig18_21_d", spark)
 
 
 def test_sweep_fig22_25(spark):
-    from sweep_fig22_25_k import main
-
-    rows = main(spark=spark, datasets=("ppi-lite",), k_values=(2,), d=2)
-    assert len(rows) == 4
+    run_case("fig22_25_k", spark)
 
 
 def test_sweep_fig26_27(spark):
-    from sweep_fig26_27_scalability import main
-
-    rows = main(
-        spark=spark,
-        dataset="ppi-lite",
-        p_values=(0.5,),
-        q_values=(0.5,),
-        d=2,
-        k=2,
-    )
-    assert len(rows) == 6  # 2 knob points x 3 algorithm runs
+    rows = run_case("fig26_27_scalability", spark)
     assert {r["knob"] for r in rows} == {"p", "q"}
     for r in rows:
         assert "preprocess_seconds" in r
 
 
 def test_ablation_fig28(spark):
-    from ablation_fig28_pre import main
-
-    rows = main(spark=spark, dataset="ppi-lite", d=2, k=2)
-    assert len(rows) == 10
+    run_case("fig28_preprocessing", spark)
 
 
 def test_table_fig29(spark):
-    from table_fig29_mimag import main
-
-    rows = main(spark=spark, datasets=("ppi-lite",), d_values=(2,))
-    assert len(rows) == 2
+    run_case("fig29_mimag", spark)
 
 
 def test_table_fig30(spark):
-    from table_fig30_containment import main
+    run_case("fig30_containment", spark)
 
-    rows = main(spark=spark, datasets=("ppi-lite",), d=2)
-    assert len(rows) == 3
+
+def test_run_table_writes_its_committed_table(tmp_path, monkeypatch, capsys):
+    """Every table has a committed results/<name>.json, and run_table writes
+    exactly results/<name>.{json,md}; an unknown name lists the valid ones."""
+    for name in TABLES:
+        assert os.path.exists(os.path.join(RESULTS_DIR, f"{name}.json")), name
+    name = "fig30_containment"
+    overrides, _ = CASES[name]
+    monkeypatch.setitem(TABLES, name, partial(TABLES[name], **overrides))
+    monkeypatch.setattr(harness, "RESULTS_DIR", str(tmp_path))
+    rows = run_table.main(name)
+    assert sorted(os.listdir(tmp_path)) == [f"{name}.json", f"{name}.md"]
+    with open(tmp_path / f"{name}.json") as f:
+        assert json.load(f) == rows
+    assert f"== {name} ==" in capsys.readouterr().out
+    with pytest.raises(SystemExit, match="fig12_datasets, fig14_16_s_small"):
+        run_table.main("table_fig29_mimag")
 
 
 def test_run_dccs_entrypoint(spark, capsys):
@@ -98,16 +121,38 @@ def test_run_dccs_entrypoint(spark, capsys):
     assert printed == want
 
 
-def test_run_dccs_rejects_other_engines(monkeypatch):
-    """The job runs the hybrid engine only, and says so before loading anything."""
+@pytest.fixture
+def no_loading(monkeypatch):
+    """Makes starting a session or loading a dataset in run_dccs fail the test."""
     import run_dccs
 
     from repro import datasets
 
     def no_load(*args, **kwargs):
-        raise AssertionError("loaded before the engine check")
+        raise AssertionError("loaded before the input checks")
 
     monkeypatch.setattr(run_dccs, "get_spark", no_load)
     monkeypatch.setattr(datasets, "load_spark", no_load)
+    return run_dccs
+
+
+def test_run_dccs_rejects_other_engines(no_loading):
+    """The job runs the hybrid engine only, and says so before loading anything."""
     with pytest.raises(ValueError, match="unknown engine"):
-        run_dccs.main(dataset="ppi-lite", engine="local")
+        no_loading.main(dataset="ppi-lite", engine="local")
+
+
+@pytest.mark.parametrize(
+    "bad,match",
+    [
+        (dict(algo="XX-DCCS"), "unknown algo"),
+        (dict(dataset="ppi"), "unknown dataset"),
+        (dict(k=0), "k=0"),
+        (dict(s=0), "s=0 outside"),
+        (dict(s=9), "s=9 outside"),  # ppi-lite: l = 8
+    ],
+)
+def test_run_dccs_rejects_bad_query(no_loading, bad, match):
+    """Bad input fails before a session starts or a dataset loads."""
+    with pytest.raises(ValueError, match=match):
+        no_loading.main(**{"dataset": "ppi-lite", **bad})

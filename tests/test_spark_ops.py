@@ -186,3 +186,10 @@ def test_connected_components_layer_restricted(gl):
     for L in ([1], [2, 3]):
         assert connected_components(graph, C, L) == component_labels(gl, C, L)
         assert connected_components(graph, set(), L) == {}
+
+
+@pytest.mark.parametrize("L", [[0], [4], [-1]])
+def test_connected_components_rejects_unknown_layer(gl, L):
+    """A layer outside 1..l (here l = 3) raises instead of reading other CSR rows."""
+    with pytest.raises(ValueError, match=r"outside 1\.\.3"):
+        connected_components(PeelGraph.from_local(gl), gl.vertices, L)

@@ -6,7 +6,6 @@ from .result import DCCSResult, init_topk
 from .greedy import gd_dccs
 from .bottom_up import bu_dccs
 from .top_down import td_dccs
-from .exact import exact_dccs, exact_max_k_cover
 
 __all__ = [
     "DCCSContext",
@@ -14,8 +13,6 @@ __all__ = [
     "MultiLayerGraph",
     "TopKDiversified",
     "bu_dccs",
-    "exact_dccs",
-    "exact_max_k_cover",
     "gd_dccs",
     "init_topk",
     "local_context",

@@ -18,7 +18,7 @@ import time
 from typing import Dict, FrozenSet, List, Sequence, Tuple
 
 from .engine import DCCSContext
-from .result import DCCSResult, from_topk, init_topk
+from .result import DCCSResult, init_topk, make_result
 from .topk import TopKDiversified
 
 
@@ -90,9 +90,6 @@ def bu_dccs(
             for p in L_R:
                 bu_gen(L_pos + (p,), children[p], banned)
 
-    if s <= l:
-        bu_gen((), ctx.vertices, frozenset())
-    seconds = time.perf_counter() - t0 + ctx.preprocess_seconds
-    return from_topk(
-        "BU-DCCS", ctx, k, topk, seconds, n_candidates
-    )
+    bu_gen((), ctx.vertices, frozenset())
+    entries = [(e.layers, e.vertices) for e in topk.results()]
+    return make_result("BU-DCCS", ctx, k, entries, t0, n_candidates)

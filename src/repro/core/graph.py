@@ -97,19 +97,17 @@ class MultiLayerGraph:
 
     # -- views -----------------------------------------------------------
 
-    def sym(self, layers: Iterable[int] | None = None) -> DataFrame:
+    def sym(self) -> DataFrame:
         """Symmetric adjacency view ``(layer, src, dst)`` with both directions."""
         e = self.edges
-        if layers is not None:
-            e = e.filter(F.col("layer").isin(list(layers)))
         return e.unionByName(
             e.select("layer", F.col("dst").alias("src"), F.col("src").alias("dst"))
         )
 
-    def degrees(self, layers: Iterable[int] | None = None) -> DataFrame:
+    def degrees(self) -> DataFrame:
         """Per-layer degrees ``(layer, id, degree)`` of every non-isolated vertex."""
         return (
-            self.sym(layers)
+            self.sym()
             .groupBy("layer", F.col("src").alias("id"))
             .agg(F.count("*").alias("degree"))
         )

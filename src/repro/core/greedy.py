@@ -13,7 +13,7 @@ from itertools import combinations
 from typing import FrozenSet, List, Sequence, Set, Tuple
 
 from .engine import DCCSContext
-from .result import DCCSResult
+from .result import DCCSResult, make_result
 
 
 def enumerate_candidates(
@@ -58,18 +58,4 @@ def gd_dccs(ctx: DCCSContext, k: int) -> DCCSResult:
     ctx.n_dcc_calls = 0
     candidates = enumerate_candidates(ctx)
     chosen = greedy_max_k_cover(candidates, k)
-    seconds = time.perf_counter() - t0
-    cover: Set[int] = set()
-    for _, C in chosen:
-        cover |= C
-    return DCCSResult(
-        algorithm="GD-DCCS",
-        d=ctx.d,
-        s=ctx.s,
-        k=k,
-        entries=chosen,
-        cover=frozenset(cover),
-        seconds=seconds + ctx.preprocess_seconds,
-        n_dcc_calls=ctx.n_dcc_calls,
-        n_candidates=len(candidates),
-    )
+    return make_result("GD-DCCS", ctx, k, chosen, t0, len(candidates))

@@ -26,10 +26,7 @@ from .peel import Peel, PeelGraph
 class NumIndex:
     """Stage partition of a multi-layer graph at degree threshold ``d``."""
 
-    d: int
-    n_layers: int
     stage_of: Dict[int, int]  # v -> h with v in I_h
-    stages: Dict[int, FrozenSet[int]]  # h -> I_h
 
     @classmethod
     def build(cls, g: PeelGraph, d: int) -> "NumIndex":
@@ -42,12 +39,7 @@ class NumIndex:
         stage = np.ones(g.n, np.int64)
         for h in range(1, g.n_layers + 1):
             stage[peel.run(h).alive] = h
-        return cls(
-            d=d,
-            n_layers=g.n_layers,
-            stage_of=dict(zip(g.ids.tolist(), stage.tolist())),
-            stages={h: g.vertex_set(stage == h) for h in range(1, g.n_layers + 1)},
-        )
+        return cls(stage_of=dict(zip(g.ids.tolist(), stage.tolist())))
 
     def scope(self, U: Iterable[int], L_prime: Iterable[int]) -> FrozenSet[int]:
         """Lemma 8 search-scope filter: ``U ∩ ⋃_{h >= |L'|} I_h``."""

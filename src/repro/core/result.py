@@ -1,8 +1,9 @@
 """Shared result container and the InitTopK procedure (Appendix D)."""
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Tuple
+from typing import Dict, FrozenSet, List, Sequence, Tuple
 
 from .engine import DCCSContext
 from .topk import TopKDiversified
@@ -28,24 +29,28 @@ class DCCSResult:
         return len(self.cover)
 
 
-def from_topk(
+def make_result(
     algorithm: str,
     ctx: DCCSContext,
     k: int,
-    topk: TopKDiversified,
-    seconds: float,
+    entries: Sequence[Tuple[Tuple[int, ...], FrozenSet[int]]],
+    t0: float,
     n_candidates: int,
     **extra: float,
 ) -> DCCSResult:
-    """Package a finished ``TopKDiversified`` as a :class:`DCCSResult`."""
+    """The result of a run on ``ctx`` that started at ``perf_counter()`` time ``t0``.
+
+    The cover is the union of the entries' vertex sets; the seconds are the
+    run's elapsed time plus the context's preprocessing time.
+    """
     return DCCSResult(
         algorithm=algorithm,
         d=ctx.d,
         s=ctx.s,
         k=k,
-        entries=[(e.layers, e.vertices) for e in topk.results()],
-        cover=topk.cover(),
-        seconds=seconds,
+        entries=list(entries),
+        cover=frozenset().union(*(C for _, C in entries)),
+        seconds=time.perf_counter() - t0 + ctx.preprocess_seconds,
         n_dcc_calls=ctx.n_dcc_calls,
         n_candidates=n_candidates,
         extra=dict(extra),

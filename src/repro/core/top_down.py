@@ -21,12 +21,12 @@ Eq. (2) also holds, a single deterministic descendant suffices).
 from __future__ import annotations
 
 import time
-from typing import Dict, FrozenSet, List, Sequence, Set, Tuple
+from typing import FrozenSet, List, Sequence, Tuple
 
 from .bottom_up import _layer_order
 from .engine import DCCSContext
 from .index import NumIndex
-from .result import DCCSResult, from_topk, init_topk
+from .result import DCCSResult, init_topk, make_result
 from .topk import TopKDiversified
 
 
@@ -153,13 +153,11 @@ def td_dccs(
                 continue
             td_gen(L_prime, C_prime, U_prime)
 
-    if s <= l:
-        if s == l:
-            C_root = ctx.run_dcc(ctx.vertices, actual(sorted(full)))
-            n_candidates += 1
-            topk.update(C_root, actual(sorted(full)))
-        else:
-            C_root = ctx.run_dcc(ctx.vertices, actual(sorted(full)))
-            td_gen(full, C_root, ctx.vertices)
-    seconds = time.perf_counter() - t0 + ctx.preprocess_seconds
-    return from_topk("TD-DCCS", ctx, k, topk, seconds, n_candidates)
+    C_root = ctx.run_dcc(ctx.vertices, actual(sorted(full)))
+    if s == l:
+        n_candidates += 1
+        topk.update(C_root, actual(sorted(full)))
+    else:
+        td_gen(full, C_root, ctx.vertices)
+    entries = [(e.layers, e.vertices) for e in topk.results()]
+    return make_result("TD-DCCS", ctx, k, entries, t0, n_candidates)

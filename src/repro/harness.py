@@ -7,12 +7,13 @@ a table; ``jobs/run_table.py <name>`` (spark-submit) and ``benchmarks/``
 (pytest-benchmark) both compute a table through the registry and write it
 with that one writer. EXPERIMENTS.md quotes the saved rows.
 
-Engines: parameter sweeps default to the driver-local engine (the
-GD/BU/TD comparison is engine-independent — asserted by the test suite)
-so a full sweep stays in seconds; the scalability sweep (Figs. 26–27)
-runs the distributed pipeline, which is the component whose scaling is
-being measured. ``engine="hybrid"`` (Spark preprocessing, driver search)
-may be forced anywhere.
+Each table runs one fixed way and varies only its parameter grid.
+Fig. 12 (dataset statistics) and Figs. 26–27 (scalability) run on Spark,
+whose loading and preprocessing they measure. Every other table runs on the
+driver-local engine, so a full sweep stays in seconds; the GD/BU/TD
+comparison is engine-independent, which the test suite asserts. The
+budgets past which a run is a DNF row are the module constants
+:data:`DEFAULT_BUDGET` and :data:`DEFAULT_TIME_BUDGET`.
 """
 from __future__ import annotations
 
@@ -34,7 +35,7 @@ from .core.engine import (
     spark_context,
 )
 from .core.greedy import gd_dccs
-from .core.result import DCCSResult
+from .core.result import DCCSResult, make_result
 from .core.top_down import td_dccs
 from .datasets import SPECS, load_local, load_spark
 from .pyref.local_graph import LocalMLGraph
@@ -59,39 +60,16 @@ def get_local(name: str) -> Tuple[LocalMLGraph, List[PlantedCommunity]]:
     return _local_graphs[name]
 
 
-def get_context(
-    dataset: str,
-    d: int,
-    s: int,
-    *,
-    engine: str = "local",
-    spark=None,
-    vertex_del: bool = True,
-) -> DCCSContext:
-    """Memoized preprocessing per (dataset, d, s, engine, vertex_del).
+def get_context(dataset: str, d: int, s: int, *, vertex_del: bool = True) -> DCCSContext:
+    """Memoized driver-local preprocessing per (dataset, d, s, vertex_del).
 
-    ``engine`` is ``"local"`` (all on the driver) or ``"hybrid"`` (Spark
-    vertex deletion, see :func:`~repro.core.engine.spark_context`); any
-    other value, or ``"hybrid"`` without ``spark``, raises ``ValueError``.
-    Hybrid contexts are also keyed by the Spark application that built them.
     Returned contexts are *shared*; use :func:`run_algorithm`, which hands
     each algorithm a fresh zero-counter copy.
     """
-    if engine not in ("local", "hybrid"):
-        raise ValueError(f"unknown engine {engine!r}: use 'local' or 'hybrid'")
-    app = None
-    if engine == "hybrid":
-        if spark is None:
-            raise ValueError("the hybrid engine needs a Spark session")
-        app = spark.sparkContext.applicationId
-    key = (dataset, d, s, engine, vertex_del, app)
+    key = (dataset, d, s, vertex_del)
     if key not in _contexts:
-        if engine == "local":
-            g, _ = get_local(dataset)
-            _contexts[key] = local_context(g, d, s, vertex_del=vertex_del)
-        else:
-            g, _ = load_spark(spark, dataset)
-            _contexts[key] = spark_context(g, d, s, vertex_del=vertex_del)
+        g, _ = get_local(dataset)
+        _contexts[key] = local_context(g, d, s, vertex_del=vertex_del)
     return _contexts[key]
 
 
@@ -121,19 +99,7 @@ def run_algorithm(
     try:
         return ALGOS[algo](my_ctx, k, **flags)
     except CallBudgetExceeded:
-        elapsed = time.perf_counter() - t0 + ctx.preprocess_seconds
-        return DCCSResult(
-            algorithm=algo,
-            d=ctx.d,
-            s=ctx.s,
-            k=k,
-            entries=[],
-            cover=frozenset(),
-            seconds=elapsed,
-            n_dcc_calls=my_ctx.n_dcc_calls,
-            n_candidates=0,
-            extra={"dnf": 1.0},
-        )
+        return make_result(algo, my_ctx, k, [], t0, 0, dnf=1.0)
 
 
 def _row(dataset: str, res: DCCSResult, **extra) -> Dict:
@@ -156,16 +122,16 @@ def _row(dataset: str, res: DCCSResult, **extra) -> Dict:
 # Sweeps — one per evaluation table (pair). See DESIGN.md §3.
 # ---------------------------------------------------------------------------
 
-DEFAULT_BUDGET = 30_000
+DEFAULT_BUDGET = 30_000  # d-CC calls; DNF past this (lower-bound row)
 DEFAULT_TIME_BUDGET = 180.0  # seconds; DNF past this (lower-bound row)
 
 
 def _run_rows(
-    dataset: str, ctx: DCCSContext, algos: Sequence[str], k: int, call_budget: int,
-    time_budget: float, flags: Optional[Dict[str, bool]] = None, **extra,
+    dataset: str, ctx: DCCSContext, algos: Sequence[str], k: int,
+    flags: Optional[Dict[str, bool]] = None, **extra,
 ) -> List[Dict]:
-    """One row per algorithm of ``algos``, each run on ``ctx`` within the budgets."""
-    run_kw = dict(call_budget=call_budget, time_budget=time_budget, **(flags or {}))
+    """One row per algorithm of ``algos``, each run on ``ctx`` within the default budgets."""
+    run_kw = dict(call_budget=DEFAULT_BUDGET, time_budget=DEFAULT_TIME_BUDGET, **(flags or {}))
     return [_row(dataset, run_algorithm(algo, ctx, k, **run_kw), **extra) for algo in algos]
 
 
@@ -175,17 +141,13 @@ def sweep_s_small(
     s_values: Sequence[int] = tuple(config.S_SMALL_VALUES),
     d: int = config.D_DEFAULT,
     k: int = config.K_DEFAULT,
-    engine: str = "local",
-    spark=None,
-    call_budget: int = DEFAULT_BUDGET,
-    time_budget: float = DEFAULT_TIME_BUDGET,
 ) -> List[Dict]:
     """Figs. 14 & 16: time and cover vs small ``s`` (GD vs BU)."""
     rows = []
     for name in datasets:
         for s in s_values:
-            ctx = get_context(name, d, s, engine=engine, spark=spark)
-            rows += _run_rows(name, ctx, ("GD-DCCS", "BU-DCCS"), k, call_budget, time_budget)
+            ctx = get_context(name, d, s)
+            rows += _run_rows(name, ctx, ("GD-DCCS", "BU-DCCS"), k)
     return rows
 
 
@@ -194,31 +156,25 @@ def sweep_s_large(
     datasets: Sequence[str] = ("german-lite", "author-lite"),
     d: int = config.D_DEFAULT,
     k: int = config.K_DEFAULT,
-    engine: str = "local",
-    spark=None,
-    call_budget: int = DEFAULT_BUDGET,
-    time_budget: float = DEFAULT_TIME_BUDGET,
 ) -> List[Dict]:
     """Figs. 15 & 17: time and cover vs large ``s`` (GD vs BU vs TD)."""
     rows = []
     for name in datasets:
         for s in config.s_large_values(SPECS[name].l):
-            ctx = get_context(name, d, s, engine=engine, spark=spark)
-            rows += _run_rows(name, ctx, ("GD-DCCS", "BU-DCCS", "TD-DCCS"), k, call_budget, time_budget)
+            ctx = get_context(name, d, s)
+            rows += _run_rows(name, ctx, ("GD-DCCS", "BU-DCCS", "TD-DCCS"), k)
     return rows
 
 
-def _default_s_rows(
-    name: str, d: int, k: int, engine: str, spark, call_budget: int, time_budget: float
-) -> List[Dict]:
+def _default_s_rows(name: str, d: int, k: int) -> List[Dict]:
     """GD/BU at the small-s default, then GD/TD at the large-s default ``l − 2``."""
     rows = []
     for s, algos in (
         (config.S_SMALL_DEFAULT, ("GD-DCCS", "BU-DCCS")),
         (config.s_large_default(SPECS[name].l), ("GD-DCCS", "TD-DCCS")),
     ):
-        ctx = get_context(name, d, s, engine=engine, spark=spark)
-        rows += _run_rows(name, ctx, algos, k, call_budget, time_budget)
+        ctx = get_context(name, d, s)
+        rows += _run_rows(name, ctx, algos, k)
     return rows
 
 
@@ -227,16 +183,12 @@ def sweep_d(
     datasets: Sequence[str] = ("german-lite", "english-lite"),
     d_values: Sequence[int] = tuple(config.D_VALUES),
     k: int = config.K_DEFAULT,
-    engine: str = "local",
-    spark=None,
-    call_budget: int = DEFAULT_BUDGET,
-    time_budget: float = DEFAULT_TIME_BUDGET,
 ) -> List[Dict]:
     """Figs. 18–21: time and cover vs ``d`` — GD/BU at s=3, GD/TD at s=l−2."""
     rows = []
     for name in datasets:
         for d in d_values:
-            rows += _default_s_rows(name, d, k, engine, spark, call_budget, time_budget)
+            rows += _default_s_rows(name, d, k)
     return rows
 
 
@@ -245,16 +197,12 @@ def sweep_k(
     datasets: Sequence[str] = ("wiki-lite", "english-lite"),
     k_values: Sequence[int] = tuple(config.K_VALUES),
     d: int = config.D_DEFAULT,
-    engine: str = "local",
-    spark=None,
-    call_budget: int = DEFAULT_BUDGET,
-    time_budget: float = DEFAULT_TIME_BUDGET,
 ) -> List[Dict]:
     """Figs. 22–25: time and cover vs ``k`` — GD/BU at s=3, GD/TD at s=l−2."""
     rows = []
     for name in datasets:
         for k in k_values:
-            rows += _default_s_rows(name, d, k, engine, spark, call_budget, time_budget)
+            rows += _default_s_rows(name, d, k)
     return rows
 
 
@@ -266,8 +214,6 @@ def sweep_scalability(
     q_values: Sequence[float] = tuple(config.Q_VALUES),
     d: int = config.D_DEFAULT,
     k: int = config.K_DEFAULT,
-    call_budget: int = DEFAULT_BUDGET,
-    time_budget: float = DEFAULT_TIME_BUDGET,
 ) -> List[Dict]:
     """Figs. 26–27: scalability vs vertex fraction ``p`` / layer fraction ``q``.
 
@@ -301,7 +247,7 @@ def sweep_scalability(
         for ctx, algos in contexts:
             rows.extend(
                 _run_rows(
-                    dataset, ctx, algos, k, call_budget, time_budget,
+                    dataset, ctx, algos, k,
                     knob=knob, value=value, preprocess_seconds=round(ctx.preprocess_seconds, 3),
                 )
             )
@@ -331,10 +277,6 @@ def sweep_preprocessing_ablation(
     dataset: str = "english-lite",
     d: int = config.D_DEFAULT,
     k: int = config.K_DEFAULT,
-    engine: str = "local",
-    spark=None,
-    call_budget: int = DEFAULT_BUDGET,
-    time_budget: float = DEFAULT_TIME_BUDGET,
 ) -> List[Dict]:
     """Fig. 28: disable each preprocessing method in BU (s=3) and TD (s=l−2)."""
     rows = []
@@ -343,10 +285,8 @@ def sweep_preprocessing_ablation(
         ("TD-DCCS", config.s_large_default(SPECS[dataset].l)),
     ):
         for vname, (vertex_del, flags) in ABLATION_VARIANTS.items():
-            ctx = get_context(dataset, d, s, engine=engine, spark=spark, vertex_del=vertex_del)
-            rows += _run_rows(
-                dataset, ctx, (algo,), k, call_budget, time_budget, flags=flags, variant=vname
-            )
+            ctx = get_context(dataset, d, s, vertex_del=vertex_del)
+            rows += _run_rows(dataset, ctx, (algo,), k, flags=flags, variant=vname)
     return rows
 
 
@@ -378,6 +318,11 @@ def dataset_stats(*, spark, datasets: Optional[Sequence[str]] = None) -> List[Di
     return rows
 
 
+# MiMAG's quasi-clique density γ and its search-node budget (Figs. 29–30).
+MIMAG_GAMMA = 0.8
+MIMAG_NODE_BUDGET = 400_000
+
+
 def _proportion(truth: Sequence[frozenset], found: Sequence[frozenset]) -> float:
     """Fraction of the ``truth`` sets contained in some set of ``found``."""
     if not truth:
@@ -389,9 +334,7 @@ def mimag_comparison(
     *,
     datasets: Sequence[str] = ("ppi-lite", "author-lite"),
     d_values: Sequence[int] = (2, 3, 4),
-    gamma: float = 0.8,
     k: int = config.K_DEFAULT,
-    node_budget: int = 400_000,
 ) -> List[Dict]:
     """Fig. 29: MiMAG vs BU-DCCS — time, size, precision/recall/F1, proportion.
 
@@ -409,7 +352,7 @@ def mimag_comparison(
         s = SPECS[name].l // 2
         for d in d_values:
             bu = run_algorithm("BU-DCCS", get_context(name, d, s), k)
-            mg = mimag(g, gamma=gamma, min_size=d + 1, s=s, node_budget=node_budget)
+            mg = mimag(g, gamma=MIMAG_GAMMA, min_size=d + 1, s=s, node_budget=MIMAG_NODE_BUDGET)
             cov_c, cov_q = bu.cover, mg.cover()
             inter = len(cov_c & cov_q)
             precision = inter / len(cov_c) if cov_c else 0.0
@@ -438,10 +381,8 @@ def containment_distribution(
     *,
     datasets: Sequence[str] = ("ppi-lite", "author-lite"),
     d: int = 3,
-    gamma: float = 0.8,
     k: int = config.K_DEFAULT,
     q_sizes: Sequence[int] = (3, 4, 5),
-    node_budget: int = 400_000,
 ) -> List[Dict]:
     """Fig. 30: distribution of ``|Q ∩ Cov(R_C)|`` over quasi-cliques ``Q``.
 
@@ -458,10 +399,10 @@ def containment_distribution(
         cov_c = bu.cover
         mg = mimag(
             g,
-            gamma=gamma,
+            gamma=MIMAG_GAMMA,
             min_size=min(q_sizes),
             s=s,
-            node_budget=node_budget,
+            node_budget=MIMAG_NODE_BUDGET,
             max_size=max(q_sizes),
         )
         for qs in q_sizes:

@@ -1,4 +1,4 @@
-"""Golden replay: stored rows of Figs. 15/17 and Fig. 28, recomputed on the local engine."""
+"""Golden replay: stored rows of Figs. 15/17, 18–21, 22–25 and 28, recomputed on the local engine."""
 import json
 import os
 
@@ -14,15 +14,40 @@ def _rows(name):
 
 ROWS = [r for r in _rows("fig15_17_s_large") if r["dataset"] in ("author-lite", "german-lite")]
 ABLATION_ROWS = [r for r in _rows("fig28_preprocessing") if r["dataset"] == "english-lite"]
+D_ROWS = [r for r in _rows("fig18_21_d") if r["dataset"] == "german-lite"]
+K_ROWS = [
+    r for r in _rows("fig22_25_k")
+    if r["dataset"] == "english-lite" and r["algorithm"] in ("BU-DCCS", "TD-DCCS")
+]
+
+
+def _replay(row):
+    ctx = get_context(row["dataset"], row["d"], row["s"])
+    res = run_algorithm(row["algorithm"], ctx, row["k"])
+    assert (res.cov_size, res.n_dcc_calls) == (row["cov"], row["dcc_calls"])
 
 
 @pytest.mark.parametrize(
     "row", ROWS, ids=[f"{r['dataset']}-{r['algorithm']}-s{r['s']}" for r in ROWS]
 )
 def test_replay_s_large(row):
-    ctx = get_context(row["dataset"], row["d"], row["s"])
-    res = run_algorithm(row["algorithm"], ctx, row["k"])
-    assert (res.cov_size, res.n_dcc_calls) == (row["cov"], row["dcc_calls"])
+    _replay(row)
+
+
+@pytest.mark.parametrize(
+    "row", D_ROWS, ids=[f"{r['algorithm']}-d{r['d']}-s{r['s']}" for r in D_ROWS]
+)
+def test_replay_d(row):
+    """Figs. 18–21 on german-lite: GD/BU at s=3, GD/TD at s=l−2, d = 2..6."""
+    _replay(row)
+
+
+@pytest.mark.parametrize(
+    "row", K_ROWS, ids=[f"{r['algorithm']}-k{r['k']}-s{r['s']}" for r in K_ROWS]
+)
+def test_replay_k(row):
+    """Figs. 22–25 on english-lite: BU at s=3 and TD at s=l−2, k = 5..25."""
+    _replay(row)
 
 
 @pytest.mark.parametrize(

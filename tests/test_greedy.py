@@ -4,7 +4,7 @@ from itertools import combinations
 
 import pytest
 
-from repro.core import exact_max_k_cover, gd_dccs, local_context
+from repro.core import gd_dccs, local_context
 from repro.core.greedy import enumerate_candidates, greedy_max_k_cover
 
 from .util import all_candidate_dccs, brute_force_max_k_cover, random_mlg
@@ -82,9 +82,3 @@ def test_gd_cover_equals_union_of_entries():
     for _, C in res.entries:
         union |= C
     assert res.cover == frozenset(union)
-
-
-def test_exact_max_k_cover_guard():
-    sets = [((i,), frozenset({i})) for i in range(40)]
-    with pytest.raises(ValueError):
-        exact_max_k_cover(sets, 15, max_combinations=100)

@@ -27,31 +27,6 @@ def test_get_context_is_memoized():
     assert c3 is not c1
 
 
-def test_get_context_keyed_by_spark_session(monkeypatch):
-    """A non-local context built in one Spark session is not reused in another."""
-    from types import SimpleNamespace
-
-    from repro import harness
-
-    def session(app_id):
-        return SimpleNamespace(sparkContext=SimpleNamespace(applicationId=app_id))
-
-    monkeypatch.setattr(harness, "_contexts", {})
-    monkeypatch.setattr(harness, "load_spark", lambda spark, name: (spark, []))
-    monkeypatch.setattr(harness, "spark_context", lambda g, d, s, **kw: SimpleNamespace(g=g))
-    a, b = session("app-1"), session("app-2")
-    ctx_a = get_context("ppi-lite", 2, 2, engine="hybrid", spark=a)
-    assert get_context("ppi-lite", 2, 2, engine="hybrid", spark=a) is ctx_a
-    ctx_b = get_context("ppi-lite", 2, 2, engine="hybrid", spark=b)
-    assert ctx_b is not ctx_a and ctx_b.g is b
-
-
-def test_get_context_rejects_unknown_engine():
-    """Only "local" and "hybrid" exist; anything else fails before any work."""
-    with pytest.raises(ValueError, match="unknown engine"):
-        get_context("ppi-lite", 2, 2, engine="spark", spark=None)
-
-
 def test_scalability_sweep_releases_graph_frames(spark):
     """A sweep leaves no more persisted RDDs than it found: each point's graph
     frames are unpersisted, and vertex deletion's Spark pass persists nothing."""

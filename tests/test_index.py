@@ -13,26 +13,6 @@ SEEDS = range(5)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-def test_stages_partition_vertices(seed):
-    g = random_mlg(25, 3, 0.15, seed)
-    idx = NumIndex.build(PeelGraph.from_local(g), 2)
-    seen = set()
-    for h, stage in idx.stages.items():
-        assert not (stage & seen)
-        seen |= stage
-    assert seen == set(g.vertices)
-
-
-@pytest.mark.parametrize("seed", SEEDS)
-def test_stage_of_consistent(seed):
-    g = random_mlg(25, 3, 0.15, seed)
-    idx = NumIndex.build(PeelGraph.from_local(g), 2)
-    for h, stage in idx.stages.items():
-        for v in stage:
-            assert idx.stage_of[v] == h
-
-
-@pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_stage_of_is_last_surviving_support(seed, d):
     """stage_of(v) = max{h : v survives vertex deletion at s = h}, else 1."""

@@ -1,5 +1,6 @@
 """Smoke tests: every table of the registry runs at reduced scale and yields
 rows, ``run_table`` writes exactly its table, and ``run_dccs`` runs one query."""
+import inspect
 import json
 import os
 import re
@@ -45,6 +46,23 @@ def test_cases_cover_the_registry():
         "fig12_datasets",
         "fig26_27_scalability",
     }
+
+
+# The names a table function may take: its grid axes, its datasets and
+# Fig. 30's quasi-clique sizes; Spark's own tables also take the session.
+GRID_PARAMS = {"d", "d_values", "s_values", "k", "k_values", "p_values", "q_values",
+               "dataset", "datasets", "q_sizes"}
+
+
+def test_tables_take_only_their_grid():
+    """Each table runs one fixed way: no engine, budget or MiMAG option."""
+    for name, fn in TABLES.items():
+        params = set(inspect.signature(fn).parameters)
+        allowed = GRID_PARAMS | ({"spark"} if run_table.needs_spark(fn) else set())
+        assert params <= allowed, (name, params - allowed)
+    assert {"engine", "spark"}.isdisjoint(inspect.signature(harness.get_context).parameters)
+    with pytest.raises(TypeError):
+        TABLES["fig14_16_s_small"](engine="hybrid")
 
 
 def test_table_fig12(spark):

@@ -114,16 +114,6 @@ def test_degrees_against_duckdb_oracle(gs, gl):
     )
 
 
-def test_degrees_layer_filter(gs, gl):
-    deg = {
-        (r.layer, r.id): r.degree for r in gs.degrees(layers=[2]).collect()
-    }
-    assert deg  # layer 2 is non-empty in this random graph
-    for (layer, v), d in deg.items():
-        assert layer == 2
-        assert d == gl.degree(2, v)
-
-
 def test_isolated_vertices_preserved(spark):
     pdf = pd.DataFrame({"layer": [1], "src": [1], "dst": [2]})
     g = MultiLayerGraph.from_pandas(spark, pdf, n_layers=1, vertex_ids=[1, 2, 3])

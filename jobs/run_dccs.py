@@ -27,8 +27,8 @@ def main(
     """Run ``algo`` on ``dataset`` and print its cores; returns the ``DCCSResult``.
 
     Raises ``ValueError`` before any session or data is touched when the
-    engine, algorithm or dataset is unknown, or when ``s`` lies outside
-    ``1..l`` or ``k < 1``.
+    engine, algorithm or dataset is unknown, or when ``d < 0``, ``s`` lies
+    outside ``1..l`` or ``k < 1``.
     """
     if engine != "hybrid":
         raise ValueError(f"unknown engine {engine!r}: this job runs 'hybrid' only")
@@ -41,7 +41,7 @@ def main(
         raise ValueError(f"unknown algo {algo!r}: use one of {', '.join(ALGOS)}")
     if dataset not in SPECS:
         raise ValueError(f"unknown dataset {dataset!r}: use one of {', '.join(SPECS)}")
-    check_query(SPECS[dataset].l, s, k)
+    check_query(SPECS[dataset].l, d, s, k)
     spark = spark or get_spark("run_dccs")
     g, _ = load_spark(spark, dataset)
     ctx = spark_context(g, d, s)

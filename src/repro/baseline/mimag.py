@@ -22,14 +22,17 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, FrozenSet, List, Set, Tuple
 
 from ..pyref.local_graph import LocalMLGraph
 
 #: Fraction of γ that a partial set must reach on a layer for that layer to
 #: keep counting toward the (relaxed) support during expansion.
 RELAX = 0.75
+
+#: Largest share of a cluster's vertices that kept clusters may already cover.
+REDUNDANCY = 0.25
 
 
 def quasi_clique_layers(
@@ -78,14 +81,7 @@ class MiMAGResult:
 
 def _relaxed_support(g: LocalMLGraph, Q: Set[int], gamma: float) -> int:
     """Layers where ``Q`` is a (RELAX·γ)-quasi-clique — expansion frontier."""
-    if len(Q) < 2:
-        return g.n_layers
-    need = math.ceil(RELAX * gamma * (len(Q) - 1))
-    cnt = 0
-    for i in g.layers:
-        if all(g.degree(i, v, within=Q) >= need for v in Q):
-            cnt += 1
-    return cnt
+    return len(quasi_clique_layers(g, Q, RELAX * gamma))
 
 
 def mine_quasi_cliques(
@@ -162,20 +158,16 @@ def mine_quasi_cliques(
     )
 
 
-def diversify(
-    result: MiMAGResult, *, redundancy: float = 0.25, max_clusters: int | None = None
-) -> MiMAGResult:
+def diversify(result: MiMAGResult) -> MiMAGResult:
     """MiMAG's redundancy-filtered output: greedily keep the best clusters
-    whose overlap with already-kept vertices is at most ``redundancy``."""
+    whose overlap with already-kept vertices is at most ``REDUNDANCY``."""
     kept: List[Cluster] = []
     covered: Set[int] = set()
     for c in result.all_quasi_cliques:
-        if max_clusters is not None and len(kept) >= max_clusters:
-            break
         if not c.vertices:
             continue
         overlap = len(c.vertices & covered) / len(c.vertices)
-        if overlap <= redundancy:
+        if overlap <= REDUNDANCY:
             kept.append(c)
             covered |= c.vertices
     result.clusters = kept
@@ -188,19 +180,10 @@ def mimag(
     gamma: float,
     min_size: int,
     s: int,
-    redundancy: float = 0.25,
     node_budget: int = 200_000,
     max_size: int | None = None,
 ) -> MiMAGResult:
-    """Mine + diversify: the full MiMAG-lite pipeline."""
-    res = mine_quasi_cliques(
-        g,
-        gamma=gamma,
-        min_size=min_size,
-        s=s,
-        node_budget=node_budget,
-        max_size=max_size,
+    """Mine + diversify: the full MiMAG-lite pipeline (its seconds are the mining's)."""
+    return diversify(
+        mine_quasi_cliques(g, gamma=gamma, min_size=min_size, s=s, node_budget=node_budget, max_size=max_size)
     )
-    res = diversify(res, redundancy=redundancy)
-    res.seconds = res.seconds  # mining dominates; diversify is negligible
-    return res

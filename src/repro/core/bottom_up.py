@@ -79,10 +79,7 @@ def bu_dccs(
             if len(L_new) == s:
                 n_candidates += 1
                 topk.update(C_new, actual(L_new))
-            elif topk.size < k:
-                L_R.append(p)
-                children[p] = C_new
-            elif topk.satisfies_eq1(C_new):  # Lemma 2 gate
+            elif topk.size < k or topk.satisfies_eq1(C_new):  # Lemma 2 gate
                 L_R.append(p)
                 children[p] = C_new
         if len(L_pos) + 1 < s:

@@ -64,8 +64,10 @@ class DCCSContext:
         return self.dcc(S, L)
 
 
-def check_query(n_layers: int, s: int, k: int = 1) -> None:
-    """Reject a support ``s`` outside ``1..l`` or a result count ``k < 1``."""
+def check_query(n_layers: int, d: int, s: int, k: int = 1) -> None:
+    """Reject a degree ``d < 0``, a support ``s`` outside ``1..l`` or a result count ``k < 1``."""
+    if d < 0:
+        raise ValueError(f"d={d} < 0")
     if not 1 <= s <= n_layers:
         raise ValueError(f"s={s} outside 1..{n_layers} (the number of layers)")
     if k < 1:
@@ -80,24 +82,22 @@ def local_context(
     Vertex deletion is the driver peel of :func:`~repro.core.preprocess.prune`
     on the whole graph. ``vertex_del=False`` is the Fig. 28 "No-VD" ablation.
     """
-    check_query(g.n_layers, s)
+    check_query(g.n_layers, d, s)
     t0 = time.perf_counter()
     pre = prune(PeelGraph.from_local(g), d, s, vertex_del=vertex_del)
     return _context(pre, d, s, t0)
 
 
-def spark_context(
-    g: MultiLayerGraph, d: int, s: int, *, vertex_del: bool = True
-) -> DCCSContext:
+def spark_context(g: MultiLayerGraph, d: int, s: int) -> DCCSContext:
     """Distributed-preprocessing context over the collected pruned graph.
 
     Vertex deletion is one Spark pass finished by the driver peel
-    (:func:`~repro.core.preprocess.vertex_deletion`).
-    ``vertex_del=False`` is the Fig. 28 "No-VD" ablation.
+    (:func:`~repro.core.preprocess.vertex_deletion`). The Fig. 28 "No-VD"
+    ablation runs on :func:`local_context` only.
     """
-    check_query(g.n_layers, s)
+    check_query(g.n_layers, d, s)
     t0 = time.perf_counter()
-    return _context(vertex_deletion(g, d, s, vertex_del=vertex_del), d, s, t0)
+    return _context(vertex_deletion(g, d, s), d, s, t0)
 
 
 def _context(pre: Preprocessed, d: int, s: int, t0: float) -> DCCSContext:

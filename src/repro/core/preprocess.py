@@ -17,7 +17,8 @@ Lemma 1 no vertex of a d-CC with ``|L| = s`` is removed.
 * **The driver finish** (:func:`prune`) peels that graph to the fixpoint
   with the batch peel of :mod:`repro.core.peel` and induces the pruned
   graph; the surviving pairs are the per-layer d-cores of the pruned graph.
-  The local engine runs the same step on the whole graph.
+  The local engine runs the same step on the whole graph, and only it runs
+  the Fig. 28 "No-VD" ablation (``prune(..., vertex_del=False)``).
 
 The pass removes only vertices the fixpoint removes too: both rules are
 monotone and it evaluates them on a supergraph of every later round. So
@@ -68,39 +69,29 @@ def prune(graph: PeelGraph, d: int, s: int, *, vertex_del: bool = True) -> Prepr
     return Preprocessed(graph=graph.induced(alive), pairs=peel.pairs[:, alive])
 
 
-def vertex_deletion(g: MultiLayerGraph, d: int, s: int, *, vertex_del: bool = True) -> Preprocessed:
+def vertex_deletion(g: MultiLayerGraph, d: int, s: int) -> Preprocessed:
     """One Spark pass of the two rules, the collect of ``G[keep]``, then :func:`prune`.
 
-    ``vertex_del=False`` is the "No-VD" ablation (see :func:`prune`); it and
-    ``d <= 0`` collect the whole graph. Raises ``ValueError`` on ``s < 1``.
+    For ``d <= 0`` every vertex passes both rules and ``keep`` is all of
+    ``G``. Raises ``ValueError`` on ``s < 1``.
     """
     if s < 1:
-        raise ValueError(f"s={s} < 1 (No-VD is vertex_del=False)")
-    keep = None  # every vertex
-    if vertex_del and d > 0:
+        raise ValueError(f"s={s} < 1")
+    if d > 0:
         num = g.degrees().filter(F.col("degree") >= d).groupBy("id").count()
-        keep = num.filter(F.col("count") >= s).select("id").toPandas()["id"].to_numpy(np.int64)
-    return prune(_collect(g, keep), d, s, vertex_del=vertex_del)
-
-
-def _collect(g: MultiLayerGraph, keep: np.ndarray | None) -> PeelGraph:
-    """``G[keep]`` (``None``: all of ``G``) in one collect.
-
-    Without ``keep`` the vertices travel as ``(0, v, v)`` rows of the edge
-    frame, so vertices without an edge arrive too.
-    """
-    if keep is None:
-        edges = g.edges.unionByName(
-            g.vertices.select(F.lit(0).alias("layer"), F.col("id").alias("src"), F.col("id").alias("dst"))
-        )
+        keep = num.filter(F.col("count") >= s).select("id").toPandas()["id"]
     else:
-        # keep goes back as a broadcast: sessions turn automatic broadcast joins off.
-        ids = F.broadcast(g.spark.createDataFrame(pd.DataFrame({"id": keep}), "id long"))
-        edges = g.edges.join(ids.withColumnRenamed("id", "src"), "src", "semi").join(
-            ids.withColumnRenamed("id", "dst"), "dst", "semi"
-        )
+        keep = g.vertices.select("id").toPandas()["id"]
+    return prune(_collect(g, keep.to_numpy(np.int64)), d, s)
+
+
+def _collect(g: MultiLayerGraph, keep: np.ndarray) -> PeelGraph:
+    """``G[keep]`` in one collect."""
+    # keep goes back as a broadcast: sessions turn automatic broadcast joins off.
+    ids = F.broadcast(g.spark.createDataFrame(pd.DataFrame({"id": keep}), "id long"))
+    edges = g.edges.join(ids.withColumnRenamed("id", "src"), "src", "semi").join(
+        ids.withColumnRenamed("id", "dst"), "dst", "semi"
+    )
     pdf = edges.toPandas()
     layer, src, dst = (pdf[c].to_numpy(np.int64) for c in ("layer", "src", "dst"))
-    edge = layer > 0
-    vertices = src[~edge] if keep is None else keep
-    return PeelGraph.from_edges(np.sort(vertices), g.n_layers, layer[edge], src[edge], dst[edge])
+    return PeelGraph.from_edges(np.sort(keep), g.n_layers, layer, src, dst)

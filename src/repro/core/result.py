@@ -62,7 +62,7 @@ def init_topk(ctx: DCCSContext, k: int) -> TopKDiversified:
 
     Each round seeds from the layer whose d-core maximally enlarges the
     current cover, greedily intersects ``s − 1`` further layer cores, and
-    updates ``R`` with the resulting d-CC.
+    updates ``R`` with the resulting d-CC (``check_query`` ensures ``s <= l``).
     """
     topk = TopKDiversified(k=k)
     layers = list(range(1, ctx.n_layers + 1))
@@ -76,13 +76,9 @@ def init_topk(ctx: DCCSContext, k: int) -> TopKDiversified:
         C = set(ctx.cores[i])
         for _ in range(ctx.s - 1):
             rest = [j for j in layers if j not in L]
-            if not rest:
-                break
             j = max(rest, key=lambda jj: (len(C & ctx.cores[jj]), -jj))
             L.append(j)
             C &= ctx.cores[j]
-        if len(L) < ctx.s:
-            continue  # fewer than s layers exist — no valid candidate
         C_prime = ctx.run_dcc(frozenset(C), sorted(L))
         topk.update(C_prime, sorted(L))
     return topk

@@ -9,9 +9,9 @@ only ever add vertices to ``C_L``). Per child:
   (kept-forever) layers' degree constraint and the Class-2 layers' core-
   membership count.
 * ``RefineC`` computes ``C^d_{L'}``, narrowed first by the Num-hierarchy
-  index through Lemma 8 (``C^d_{L'} ⊆ U_{L'} ∩ ⋃_{h>=|L'|} I_h``); the
-  scope is then peeled by the standard d-CC kernel (see DESIGN.md §2 for
-  why this replaces Fig. 10's level-scan without changing the output).
+  index (built once per run) through Lemma 8 (``C^d_{L'} ⊆ U_{L'} ∩
+  ⋃_{h>=|L'|} I_h``); the scope is then peeled by the standard d-CC kernel
+  (see DESIGN.md §2 for why this replaces Fig. 10's level-scan).
 
 Pruning: Lemma 5 (Eq. (1) on ``U_{L'}`` kills subtrees), Lemma 6
 (descending ``|U_{L'}|`` order admits early loop exit), Lemma 7 (when
@@ -36,7 +36,6 @@ def td_dccs(
     *,
     sort_layers: bool = True,
     init_result: bool = True,
-    use_index: bool = True,
 ) -> DCCSResult:
     """Run TD-DCCS; flags disable preprocessing steps for the Fig. 28 ablation."""
     t0 = time.perf_counter()
@@ -46,7 +45,7 @@ def td_dccs(
     # unlikely to support a large d-CC, so it should be *removable* early.
     order = _layer_order(ctx, sort_layers, descending=False)
     core_at = {p: ctx.cores[order[p - 1]] for p in range(1, l + 1)}
-    index = NumIndex.build(ctx.graph, ctx.d) if use_index else None
+    index = NumIndex.build(ctx.graph, ctx.d)
 
     topk = init_topk(ctx, k) if init_result else TopKDiversified(k=k)
     n_candidates = 0
@@ -88,10 +87,8 @@ def td_dccs(
 
     def refine_c(U_prime: FrozenSet[int], L_prime: FrozenSet[int]) -> FrozenSet[int]:
         """Lemma-8 index scope, then exact d-CC peeling."""
-        scope = (
-            index.scope(U_prime, actual(sorted(L_prime))) if index else U_prime
-        )
-        return ctx.run_dcc(scope, actual(sorted(L_prime)))
+        L = actual(sorted(L_prime))
+        return ctx.run_dcc(index.scope(U_prime, L), L)
 
     def leftmost_level_s(L_prime: FrozenSet[int]) -> FrozenSet[int] | None:
         """Deterministic level-s descendant for the Lemma-7 shortcut."""

@@ -10,7 +10,7 @@ per-layer average degree. Planted communities double as the ground-truth
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 import pandas as pd

@@ -86,9 +86,9 @@ def run_algorithm(
 
     DNF rows report the elapsed time as a *lower bound* (the paper handles
     its intractable brute-force baseline the same way). Raises
-    ``ValueError`` when ``ctx.s`` lies outside ``1..l`` or ``k < 1``.
+    ``ValueError`` on a bad ``ctx.d``, ``ctx.s`` or ``k`` (:func:`check_query`).
     """
-    check_query(ctx.n_layers, ctx.s, k)
+    check_query(ctx.n_layers, ctx.d, ctx.s, k)
     t0 = time.perf_counter()
     my_ctx = dataclasses.replace(
         ctx,
@@ -218,9 +218,9 @@ def sweep_scalability(
     """Figs. 26–27: scalability vs vertex fraction ``p`` / layer fraction ``q``.
 
     Runs the full distributed (hybrid) pipeline per point: Spark
-    preprocessing over the subsampled graph, then the search phase. GD/BU
-    run at the small-s default; TD at its large-s default (TD is defined
-    for ``s >= l/2``).
+    preprocessing over the subsampled graph (for ``p``, induced by the kept
+    vertices), then the search phase. GD/BU run at the small-s default; TD
+    at its large-s default (TD is defined for ``s >= l/2``).
     """
     from .core.graph import MultiLayerGraph
     from .datasets import generate, subsample_layers, subsample_vertices
@@ -228,10 +228,8 @@ def sweep_scalability(
     pdf, _, spec = generate(dataset)
     rows = []
 
-    def run_point(sub_pdf, l, n_vertices, knob, value):
-        g = MultiLayerGraph.from_pandas(
-            spark, sub_pdf, n_layers=l, vertex_ids=range(1, n_vertices + 1)
-        )
+    def run_point(sub_pdf, l, vertex_ids, knob, value):
+        g = MultiLayerGraph.from_pandas(spark, sub_pdf, n_layers=l, vertex_ids=vertex_ids)
         try:
             contexts = [
                 (spark_context(g, d, s), algos)
@@ -254,10 +252,10 @@ def sweep_scalability(
 
     for p in p_values:
         sub, kept = subsample_vertices(pdf, spec, p)
-        run_point(sub, spec.l, spec.n, "p", p)
+        run_point(sub, spec.l, kept, "p", p)
     for q in q_values:
         sub, l_kept = subsample_layers(pdf, spec, q)
-        run_point(sub, l_kept, spec.n, "q", q)
+        run_point(sub, l_kept, range(1, spec.n + 1), "q", q)
     return rows
 
 

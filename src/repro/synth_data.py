@@ -11,6 +11,9 @@ from typing import FrozenSet, List, Tuple
 import numpy as np
 import pandas as pd
 
+OVERLAP_POOL_FRAC = 0.15  #: size of the shared "hub pool", as a fraction of ``n``
+OVERLAP_PROB = 0.3  #: probability that a community member comes from the hub pool
+
 
 @dataclass(frozen=True)
 class PlantedCommunity:
@@ -29,28 +32,26 @@ def planted_multilayer(
     active_range: Tuple[int, int],
     p_in: float,
     background_degree: float,
-    overlap_pool_frac: float = 0.15,
-    overlap_prob: float = 0.3,
     seed: int = 0,
 ) -> Tuple[pd.DataFrame, List[PlantedCommunity]]:
     """Planted-community multi-layer graph as a ``(layer, src, dst)`` frame.
 
     Each of ``n_communities`` communities gets a vertex set (size uniform in
     ``size_range``; members drawn from a small "hub pool" with probability
-    ``overlap_prob`` so communities overlap, as the paper's d-CCs do) and an
+    ``OVERLAP_PROB`` so communities overlap, as the paper's d-CCs do) and an
     active-layer set (size uniform in ``active_range``). On each active
     layer the community's block is Erdős–Rényi(``p_in``); every layer also
     carries background ER noise with expected degree ``background_degree``.
     Vertices are ``1..n``; layers ``1..l``. Deterministic in ``seed``.
     """
     g = np.random.default_rng(seed)
-    pool_size = max(1, int(n * overlap_pool_frac))
+    pool_size = max(1, int(n * OVERLAP_POOL_FRAC))
     communities: List[PlantedCommunity] = []
     frames: List[pd.DataFrame] = []
 
     for _ in range(n_communities):
         size = int(g.integers(size_range[0], size_range[1] + 1))
-        take_pool = g.random(size) < overlap_prob
+        take_pool = g.random(size) < OVERLAP_PROB
         members = np.where(
             take_pool,
             g.integers(1, pool_size + 1, size),

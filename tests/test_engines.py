@@ -1,9 +1,14 @@
-"""Engine equivalence: local ≡ hybrid for all three algorithms."""
+"""Engine equivalence: local ≡ hybrid for all three algorithms, and the
+parameter lists of the core entry points."""
+import inspect
+
 import pytest
 
+from repro.baseline import diversify, mimag
 from repro.core import bu_dccs, gd_dccs, local_context, spark_context, td_dccs
 from repro.core.engine import CallBudgetExceeded
 from repro.core.graph import MultiLayerGraph
+from repro.core.preprocess import vertex_deletion
 
 from .util import random_mlg
 
@@ -65,8 +70,31 @@ def test_call_budget_raises(ctx_local):
 @pytest.mark.parametrize("s", [0, 4])
 def test_support_outside_layer_range_rejected(gl, gs, s):
     """local_context and spark_context raise on s outside 1..l (here l = 3)."""
-    for vertex_del in (True, False):
-        with pytest.raises(ValueError):
-            local_context(gl, 2, s, vertex_del=vertex_del)
-        with pytest.raises(ValueError):
-            spark_context(gs, 2, s, vertex_del=vertex_del)
+    with pytest.raises(ValueError):
+        local_context(gl, 2, s, vertex_del=False)
+    with pytest.raises(ValueError):
+        local_context(gl, 2, s)
+    with pytest.raises(ValueError):
+        spark_context(gs, 2, s)
+
+
+#: Every parameter of the core entry points, ``*`` before the keyword-only
+#: ones. An option that no job, table or benchmark sets selects a code path
+#: only tests run; add one only together with its caller.
+SIGNATURES = {
+    spark_context: ["g", "d", "s"],
+    vertex_deletion: ["g", "d", "s"],
+    td_dccs: ["ctx", "k", "*", "sort_layers", "init_result"],
+    mimag: ["g", "*", "gamma", "min_size", "s", "node_budget", "max_size"],
+    diversify: ["result"],
+}
+
+
+@pytest.mark.parametrize("fn", SIGNATURES, ids=lambda fn: fn.__name__)
+def test_entry_point_parameters(fn):
+    params = []
+    for p in inspect.signature(fn).parameters.values():
+        if p.kind is p.KEYWORD_ONLY and "*" not in params:
+            params.append("*")
+        params.append(p.name)
+    assert params == SIGNATURES[fn]

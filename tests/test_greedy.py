@@ -1,6 +1,5 @@
 """GD-DCCS: candidate enumeration, greedy selection, approximation ratio."""
 import math
-from itertools import combinations
 
 import pytest
 

@@ -1,4 +1,5 @@
 """Num-hierarchy index (Section V-C): stage partition, Lemma 8 scope."""
+import random
 from itertools import combinations
 
 import pytest
@@ -33,6 +34,20 @@ def test_lemma8_scope_contains_dcc(seed, d):
         for L in combinations(range(1, 4), size):
             C = dcc(g, g.vertices, list(L), d)
             assert C <= idx.scope(g.vertices, L)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_scope_keeps_the_dcc_of_any_start_set(seed):
+    """RefineC peels ``scope(U, L)`` instead of ``U``: the d-CC is the same
+    for any start set ``U``, not only for the whole graph."""
+    g = random_mlg(30, 4, 0.15, seed)
+    idx = NumIndex.build(PeelGraph.from_local(g), 2)
+    rng = random.Random(seed)
+    for _ in range(4):
+        U = set(rng.sample(sorted(g.vertices), rng.randint(1, len(g.vertices))))
+        for size in (1, 2, 3, 4):
+            for L in combinations(g.layers, size):
+                assert dcc(g, idx.scope(U, L), list(L), 2) == dcc(g, U, list(L), 2)
 
 
 def test_scope_filters_low_stages():

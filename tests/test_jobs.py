@@ -123,6 +123,28 @@ def test_run_table_writes_its_committed_table(tmp_path, monkeypatch, capsys):
         run_table.main("table_fig29_mimag")
 
 
+def test_negative_degree_rejected(spark, no_loading):
+    """``d < 0`` fails where a query enters instead of running as ``d = 0``;
+    ``d = 0`` stays legal."""
+    import dataclasses
+
+    from repro.core import local_context, spark_context
+    from repro.core.graph import MultiLayerGraph
+
+    from .util import random_mlg
+
+    gl = random_mlg(12, 2, 0.3, 0)
+    for build, g in ((local_context, gl), (spark_context, MultiLayerGraph.from_local(spark, gl))):
+        with pytest.raises(ValueError, match="d=-1 < 0"):
+            build(g, -1, 1)
+        ctx = build(g, 0, 1)
+        assert ctx.vertices == gl.vertices
+        with pytest.raises(ValueError, match="d=-1 < 0"):
+            harness.run_algorithm("BU-DCCS", dataclasses.replace(ctx, d=-1), 1)
+    with pytest.raises(ValueError, match="d=-1 < 0"):
+        no_loading.main(dataset="ppi-lite", d=-1)
+
+
 def test_run_dccs_entrypoint(spark, capsys):
     """The printed component counts are a union-find's over the local graph."""
     from run_dccs import main

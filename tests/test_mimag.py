@@ -4,6 +4,7 @@ import math
 import pytest
 
 from repro.baseline import mimag, mine_quasi_cliques, quasi_clique_layers
+from repro.baseline.mimag import REDUNDANCY
 from repro.pyref.local_graph import LocalMLGraph
 
 from .util import random_mlg
@@ -75,10 +76,10 @@ def test_support_threshold_respected():
 
 def test_diversify_redundancy_filter():
     g = clique_graph(8, [1, 2])
-    res = mimag(g, gamma=1.0, min_size=3, s=2, redundancy=0.25)
+    res = mimag(g, gamma=1.0, min_size=3, s=2)
     covered = set()
     for c in res.clusters:
-        assert len(c.vertices & covered) / len(c.vertices) <= 0.25
+        assert len(c.vertices & covered) / len(c.vertices) <= REDUNDANCY
         covered |= c.vertices
 
 

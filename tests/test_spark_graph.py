@@ -2,7 +2,6 @@
 import numpy as np
 import pandas as pd
 import pytest
-from pyspark.sql import functions as F
 
 from repro.core.graph import MAX_PARTITIONS, ROWS_PER_PARTITION, MultiLayerGraph, partitions_for
 from repro.datasets import load_spark

@@ -70,23 +70,16 @@ def cascade_chain(blocks: int, d: int) -> LocalMLGraph:
 
 
 def check_fixpoint(gs: MultiLayerGraph, gl: LocalMLGraph, d: int, s: int) -> None:
-    """Survivors, per-layer cores and pruned graph of the fixpoint equal pyref's.
-
-    ``s = 0`` stands for No-VD (``vertex_del=False``): every vertex survives
-    and the cores are the d-cores of the whole graph.
-    """
-    pre = vertex_deletion(gs, d, max(s, 1), vertex_del=s > 0)
-    if s == 0:
-        survivors, cores = gl.vertices, pk.layer_cores(gl, d)
-    else:
-        survivors, cores = pk.vertex_deletion(gl, d, s)
+    """Survivors, per-layer cores and pruned graph of the fixpoint equal pyref's."""
+    pre = vertex_deletion(gs, d, s)
+    survivors, cores = pk.vertex_deletion(gl, d, s)
     assert pre.survivors == survivors == pre.graph.vertices
     assert pre.cores_by_layer() == cores
     assert set(pre.graph.edges()) == set(gl.induced(survivors).edges())
 
 
 @pytest.mark.parametrize("d", [0, 1, 2, 3])
-@pytest.mark.parametrize("s", [0, 1, 2, 3, 4])
+@pytest.mark.parametrize("s", [1, 2, 3, 4])
 def test_fixpoint_matches_pyref(gs_iso, gl_iso, d, s):
     check_fixpoint(gs_iso, gl_iso, d, s)
 
@@ -97,7 +90,7 @@ def test_vertex_deletion_matches_pyref(gs, gl, s):
 
 
 def test_support_below_one_rejected(gs):
-    """No-VD is the ``vertex_del`` flag, not an ``s <= 0`` sentinel."""
+    """``s <= 0`` is no No-VD sentinel: No-VD runs on the local engine only."""
     for s in (0, -1):
         with pytest.raises(ValueError):
             vertex_deletion(gs, 2, s)
@@ -109,7 +102,7 @@ def cascade(spark):
     return MultiLayerGraph.from_local(spark, gl), gl
 
 
-@pytest.mark.parametrize("s", [0, 1, 2, 3])
+@pytest.mark.parametrize("s", [1, 2, 3])
 def test_cascade_matches_pyref(cascade, s):
     """The driver finish reaches the fixpoint after the one Spark pass."""
     gs, gl = cascade
@@ -140,27 +133,25 @@ def test_cascade_spark_jobs_bounded(spark, cascade):
         assert counts["short", s] == counts["long", s], counts
 
 
-def test_vertex_deletion_disabled(gs, gl):
-    pre = vertex_deletion(gs, 2, 1, vertex_del=False)
-    assert pre.survivors == gl.vertices
-
-
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_layer_cores_match_pyref(gs, gl, d):
-    """Without vertex deletion the fixpoint's pairs are every layer's d-core."""
-    assert vertex_deletion(gs, d, 1, vertex_del=False).cores_by_layer() == pk.layer_cores(gl, d)
+    """At s = 1 vertex deletion keeps every layer's d-core whole, so the
+    fixpoint's pairs are the d-cores of the whole graph."""
+    assert vertex_deletion(gs, d, 1).cores_by_layer() == pk.layer_cores(gl, d)
 
 
 def test_layer_cores_d0_includes_isolated(gs_iso, gl_iso):
-    cores = vertex_deletion(gs_iso, 0, 1, vertex_del=False).cores_by_layer()
-    assert cores == {i: gl_iso.vertices for i in gl_iso.layers}
+    """At d = 0 every vertex, isolated or not, is in every layer's core."""
+    pre = vertex_deletion(gs_iso, 0, 1)
+    assert pre.survivors == gl_iso.vertices
+    assert pre.cores_by_layer() == {i: gl_iso.vertices for i in gl_iso.layers}
 
 
 def test_layer_cores_within_restriction(spark, gl):
     """The cores of an induced subgraph are pyref's cores restricted to it."""
     S = set(sorted(gl.vertices)[:25])
     sub = MultiLayerGraph.from_local(spark, gl.induced(S))
-    got = vertex_deletion(sub, 2, 1, vertex_del=False).cores_by_layer()
+    got = vertex_deletion(sub, 2, 1).cores_by_layer()
     assert got == pk.layer_cores(gl, 2, S)
 
 

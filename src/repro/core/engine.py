@@ -15,7 +15,8 @@ induce the pruned graph, read its per-layer cores). Either way every
 graph:
 
 * ``local_context`` — everything on the driver: the prune step runs on the
-  whole graph.
+  whole graph, as :func:`repro.datasets.load_local` builds it once (a
+  set-based ``LocalMLGraph``, the tests' oracle graph, is converted first).
 * ``spark_context`` — the production-shaped pipeline (the "hybrid"
   engine): one distributed pass of the vertex-deletion rules shrinks the
   graph, the shrunk graph is collected once and the prune step finishes
@@ -75,7 +76,7 @@ def check_query(n_layers: int, d: int, s: int, k: int = 1) -> None:
 
 
 def local_context(
-    g: LocalMLGraph, d: int, s: int, *, vertex_del: bool = True
+    g: PeelGraph | LocalMLGraph, d: int, s: int, *, vertex_del: bool = True
 ) -> DCCSContext:
     """All-driver context (reference engine).
 
@@ -84,7 +85,8 @@ def local_context(
     """
     check_query(g.n_layers, d, s)
     t0 = time.perf_counter()
-    pre = prune(PeelGraph.from_local(g), d, s, vertex_del=vertex_del)
+    graph = PeelGraph.from_local(g) if isinstance(g, LocalMLGraph) else g
+    pre = prune(graph, d, s, vertex_del=vertex_del)
     return _context(pre, d, s, t0)
 
 

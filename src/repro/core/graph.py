@@ -6,15 +6,16 @@ vertex DataFrame ``(id long)`` that preserves isolated vertices. All
 distributed operators in :mod:`repro.core` work on this representation via
 the DataFrame / Spark SQL API (Catalyst), never raw RDDs.
 
-The one ingest, :meth:`MultiLayerGraph.from_pandas`, builds the canonical
-form on the driver, where the input frame already is: numpy drops the
-self-loops and orients each edge, pandas drops the duplicates. Spark gets
-the result once, with explicit schemas, and caches it. A graph frame has
-:func:`partitions_for` partitions: one per ``ROWS_PER_PARTITION`` canonical
-edges, at most ``MAX_PARTITIONS``. On ppi-lite (4 K edges) the one-partition
-frames need no shuffle before the per-vertex aggregates of vertex deletion:
-its Spark jobs fell from 5 to 3 and a ``spark-job`` benchmark pass from
-0.69 s to 0.41 s (medians of 10 alternating runs, local[2] on a 4-core VM).
+The Spark ingest, :meth:`MultiLayerGraph.from_pandas`, builds the canonical
+form on the driver, where the input frame already is, with
+:func:`~repro.core.peel.canonical_edges`, the canonicaliser the local
+engine's ingest shares. Spark gets the result once, with explicit schemas,
+and caches it. A graph frame has :func:`partitions_for` partitions: one per
+``ROWS_PER_PARTITION`` canonical edges, at most ``MAX_PARTITIONS``. On
+ppi-lite (4 K edges) the one-partition frames need no shuffle before the
+per-vertex aggregates of vertex deletion: its Spark jobs fell from 5 to 3
+and a ``spark-job`` benchmark pass from 0.69 s to 0.41 s (medians of 10
+alternating runs, local[2] on a 4-core VM).
 The large datasets keep the 8 partitions every graph had before, which
 leaves room for more cores than local[2]'s. On local[2] a cap of 2 measured
 within the runs' spread of 8: english-lite s=13 preprocessing 2.9 s with 2
@@ -27,12 +28,12 @@ import math
 from dataclasses import dataclass
 from typing import Iterable
 
-import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
 from ..pyref.local_graph import LocalMLGraph
+from .peel import canonical_edges
 
 #: Canonical edges per partition of a graph frame, and the most partitions.
 ROWS_PER_PARTITION = 50_000
@@ -62,23 +63,9 @@ class MultiLayerGraph:
         n_layers: int,
         vertex_ids: Iterable[int] | None = None,
     ) -> "MultiLayerGraph":
-        """Build from a pandas frame with columns ``layer, src, dst``.
-
-        Rows may repeat, come in either orientation or be self-loops; the
-        vertices are ``vertex_ids`` plus every edge endpoint. Raises
-        ``ValueError`` on an edge layer outside ``1..n_layers``.
-        """
-        layer, src, dst = (pdf[c].to_numpy(np.int64) for c in ("layer", "src", "dst"))
-        bad = np.unique(layer[(layer < 1) | (layer > n_layers)]).tolist()
-        if bad:
-            raise ValueError(f"edges on layers {bad} outside 1..{n_layers}")
-        edge = src != dst
-        lo, hi = np.minimum(src, dst)[edge], np.maximum(src, dst)[edge]
-        canon = pd.DataFrame(
-            {"layer": layer[edge].astype(np.int32), "src": lo, "dst": hi}
-        ).drop_duplicates()
-        ids = [lo, hi] if vertex_ids is None else [lo, hi, np.fromiter(vertex_ids, np.int64)]
-        ids = np.unique(np.concatenate(ids))
+        """Build from a pandas frame with columns ``layer, src, dst``, read by
+        :func:`~repro.core.peel.canonical_edges` (which checks the layers)."""
+        canon, ids = canonical_edges(pdf, n_layers=n_layers, vertex_ids=vertex_ids)
         n = partitions_for(len(canon))
         edges = spark.createDataFrame(canon, "layer int, src long, dst long")
         vertices = spark.createDataFrame(pd.DataFrame({"id": ids}), "id long")

@@ -29,16 +29,43 @@ the CSR rows of the candidate pairs are gathered once, degrees come from
 their lengths, and each round decrements degrees only along the edges of
 the pairs it removed. :mod:`repro.pyref.kernels` is the set-based spec
 the tests compare this module against.
+
+The local engine's graph is built once per dataset from the edge frame
+(:meth:`PeelGraph.from_pandas`), canonicalised as the Spark ingest's is.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 from typing import FrozenSet, Iterable, Iterator, Sequence, Tuple
 
 import numpy as np
+import pandas as pd
 
 from ..pyref.local_graph import LocalMLGraph
+
+
+def canonical_edges(
+    pdf: pd.DataFrame, *, n_layers: int, vertex_ids: Iterable[int] | None = None
+) -> Tuple[pd.DataFrame, np.ndarray]:
+    """Distinct edges and vertex ids of a frame with columns ``layer, src, dst``.
+
+    Rows may repeat, come in either orientation or be self-loops: numpy drops
+    the self-loops and orients each edge ``src < dst``, pandas drops the
+    duplicates. The edges come back as columns ``layer`` (int32), ``src`` and
+    ``dst`` (int64); the ids, ascending, are ``vertex_ids`` plus every edge
+    endpoint. Raises ``ValueError`` on an edge layer outside ``1..n_layers``.
+    """
+    layer, src, dst = (pdf[c].to_numpy(np.int64) for c in ("layer", "src", "dst"))
+    bad = np.unique(layer[(layer < 1) | (layer > n_layers)]).tolist()
+    if bad:
+        raise ValueError(f"edges on layers {bad} outside 1..{n_layers}")
+    edge = src != dst
+    lo, hi = np.minimum(src, dst)[edge], np.maximum(src, dst)[edge]
+    canon = pd.DataFrame(
+        {"layer": layer[edge].astype(np.int32), "src": lo, "dst": hi}
+    ).drop_duplicates()
+    ids = [lo, hi] if vertex_ids is None else [lo, hi, np.fromiter(vertex_ids, np.int64)]
+    return canon, np.unique(np.concatenate(ids))
 
 
 def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -76,24 +103,19 @@ class PeelGraph:
     nbr: np.ndarray  # int32 dense indices
 
     @classmethod
+    def from_pandas(
+        cls, pdf: pd.DataFrame, *, n_layers: int, vertex_ids: Iterable[int] | None = None
+    ) -> "PeelGraph":
+        """Arrays of an edge frame ``layer, src, dst``, canonicalised by :func:`canonical_edges`."""
+        canon, ids = canonical_edges(pdf, n_layers=n_layers, vertex_ids=vertex_ids)
+        layer, src, dst = (canon[c].to_numpy(np.int64) for c in ("layer", "src", "dst"))
+        return cls.from_edges(ids, n_layers, layer, src, dst)
+
+    @classmethod
     def from_local(cls, g: LocalMLGraph) -> "PeelGraph":
-        """Arrays of ``g``'s layers ``1..l``, read from its adjacency sets by numpy."""
-        ids = np.sort(np.fromiter(g.vertices, np.int64, len(g.vertices)))
-        n = len(ids)
-        adjs = [g.adj.get(i, {}) for i in g.layers]
-        sets = list(chain.from_iterable(adj.values() for adj in adjs))
-        cnt = np.fromiter(map(len, sets), np.int64, len(sets))
-        layer = np.repeat(np.arange(len(adjs)), [len(adj) for adj in adjs])
-        row = layer * n + _positions(ids, np.fromiter(chain.from_iterable(adjs), np.int64, len(sets)))
-        nb = np.fromiter(chain.from_iterable(sets), np.int64, int(cnt.sum()))
-        # The adjacency dicts keep each row's block together but not in row
-        # order: move the blocks into row order.
-        order = np.argsort(row)
-        indptr = np.zeros(len(adjs) * n + 1, np.int64)
-        indptr[row + 1] = cnt
-        np.cumsum(indptr, out=indptr)
-        nbr = _positions(ids, nb[_ranges((np.cumsum(cnt) - cnt)[order], cnt[order])])
-        return cls(ids=ids, n_layers=g.n_layers, indptr=indptr, nbr=nbr)
+        """Arrays of a set-based graph (toy graphs and reference checks)."""
+        layer, src, dst = np.array(list(g.edges()), np.int64).reshape(-1, 3).T
+        return cls.from_edges(np.array(sorted(g.vertices), np.int64), g.n_layers, layer, src, dst)
 
     @classmethod
     def from_edges(
@@ -124,6 +146,14 @@ class PeelGraph:
     def vertex_set(self, which) -> FrozenSet[int]:
         """Ids of the vertices a dense-index array or mask selects."""
         return frozenset(self.ids[which].tolist())
+
+    def neighbors(self, layer: int, v: int) -> FrozenSet[int]:
+        """Ids of ``v``'s neighbours on ``layer``; empty if ``v`` is no vertex here."""
+        i = int(np.searchsorted(self.ids, v))
+        if not 1 <= layer <= self.n_layers or i == self.n or self.ids[i] != v:
+            return frozenset()
+        r = (layer - 1) * self.n + i
+        return self.vertex_set(self.nbr[self.indptr[r] : self.indptr[r + 1]])
 
     def index(self, S: Iterable[int]) -> np.ndarray:
         """Ascending dense indices of the members of ``S`` that are vertices here."""

@@ -15,7 +15,7 @@ from typing import Dict, List, Tuple
 import numpy as np
 import pandas as pd
 
-from .pyref.local_graph import LocalMLGraph
+from .core.peel import PeelGraph
 from .synth_data import PlantedCommunity, planted_multilayer
 
 
@@ -84,18 +84,10 @@ def generate(name: str) -> Tuple[pd.DataFrame, List[PlantedCommunity], DatasetSp
     return pdf, comms, spec
 
 
-def load_local(name: str) -> Tuple[LocalMLGraph, List[PlantedCommunity]]:
-    """Driver-local graph + ground-truth communities."""
+def load_local(name: str) -> Tuple[PeelGraph, List[PlantedCommunity]]:
+    """The local engine's driver arrays + ground-truth communities."""
     pdf, comms, spec = generate(name)
-    g = LocalMLGraph.from_edges(
-        (
-            (int(layer), int(src), int(dst))
-            for layer, src, dst in pdf.itertuples(index=False)
-        ),
-        n_layers=spec.l,
-        vertices=range(1, spec.n + 1),
-    )
-    return g, comms
+    return PeelGraph.from_pandas(pdf, n_layers=spec.l, vertex_ids=range(1, spec.n + 1)), comms
 
 
 def load_spark(spark, name: str):

@@ -35,6 +35,7 @@ from .core.engine import (
     spark_context,
 )
 from .core.greedy import gd_dccs
+from .core.peel import PeelGraph
 from .core.result import DCCSResult, make_result
 from .core.top_down import td_dccs
 from .datasets import SPECS, load_local, load_spark
@@ -43,7 +44,7 @@ from .synth_data import PlantedCommunity
 
 RESULTS_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.dirname(__file__))), "results")
 
-_local_graphs: Dict[str, Tuple[LocalMLGraph, List[PlantedCommunity]]] = {}
+_local_graphs: Dict[str, Tuple[PeelGraph, List[PlantedCommunity]]] = {}
 _contexts: Dict[Tuple, DCCSContext] = {}
 
 ALGOS: Dict[str, Callable[..., DCCSResult]] = {
@@ -53,8 +54,8 @@ ALGOS: Dict[str, Callable[..., DCCSResult]] = {
 }
 
 
-def get_local(name: str) -> Tuple[LocalMLGraph, List[PlantedCommunity]]:
-    """Memoized driver-local dataset."""
+def get_local(name: str) -> Tuple[PeelGraph, List[PlantedCommunity]]:
+    """Memoized driver-local dataset, as the local engine's arrays."""
     if name not in _local_graphs:
         _local_graphs[name] = load_local(name)
     return _local_graphs[name]
@@ -346,6 +347,7 @@ def mimag_comparison(
     rows = []
     for name in datasets:
         g, _ = get_local(name)
+        g = LocalMLGraph.from_edges(g.edges(), n_layers=g.n_layers, vertices=g.vertices)
         truth = ground_truth_complexes(name)
         s = SPECS[name].l // 2
         for d in d_values:
@@ -391,6 +393,7 @@ def containment_distribution(
     rows = []
     for name in datasets:
         g, _ = get_local(name)
+        g = LocalMLGraph.from_edges(g.edges(), n_layers=g.n_layers, vertices=g.vertices)
         s = SPECS[name].l // 2
         ctx = get_context(name, d, s)
         bu = run_algorithm("BU-DCCS", ctx, k)

@@ -1,10 +1,11 @@
 """Driver-local multi-layer graph.
 
-This is the in-memory substrate used (a) as the executable specification
+This is the set-based substrate used (a) as the executable specification
 that the driver array peel and the distributed DataFrame operators are
-tested against and (b) as the driver-side input of the local engine and the
-collected pruned graph of the hybrid one, from which
-:class:`~repro.core.peel.PeelGraph` reads its arrays.
+tested against and (b) as the input of the MiMAG baseline
+(:mod:`repro.baseline.mimag`). Neither engine runs on it: the local engine
+peels the arrays of :class:`~repro.core.peel.PeelGraph`, built from the edge
+frame, and converts a graph of this class (a test's toy graph) first.
 
 Layers are numbered ``1..l`` as in the paper. Edges are undirected and
 simple; self-loops are dropped on construction.

@@ -2,7 +2,7 @@
 
 :func:`planted_multilayer` returns a ``(layer, src, dst)`` edge frame that
 feeds :class:`repro.core.graph.MultiLayerGraph` and
-:class:`repro.pyref.LocalMLGraph`, plus the ground-truth communities.
+:class:`repro.core.peel.PeelGraph`, plus the ground-truth communities.
 Generators are deterministic in ``seed``.
 """
 from dataclasses import dataclass

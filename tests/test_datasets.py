@@ -5,11 +5,12 @@ from repro.datasets import (
     SPECS,
     generate,
     ground_truth_complexes,
-    load_local,
     subsample_layers,
     subsample_vertices,
 )
 from repro.synth_data import planted_multilayer
+
+from .util import named_local
 
 SMALL = ["ppi-lite", "author-lite"]
 
@@ -31,7 +32,8 @@ def test_generation_deterministic(name):
 
 @pytest.mark.parametrize("name", SMALL)
 def test_local_graph_matches_spec(name):
-    g, comms = load_local(name)
+    g = named_local(name)
+    _, comms, _ = generate(name)
     spec = SPECS[name]
     assert g.n_layers == spec.l
     assert len(g.vertices) == spec.n
@@ -54,7 +56,8 @@ def test_edges_within_bounds(name):
 @pytest.mark.parametrize("name", SMALL)
 def test_communities_are_dense_on_active_layers(name):
     """On an active layer a community block should be far denser than noise."""
-    g, comms = load_local(name)
+    g = named_local(name)
+    _, comms, _ = generate(name)
     spec = SPECS[name]
     checked = 0
     for c in comms:

@@ -11,11 +11,10 @@ import pytest
 from repro.core import local_context
 from repro.core.index import NumIndex
 from repro.core.peel import PeelGraph
-from repro.harness import get_local
 from repro.pyref import LocalMLGraph
 from repro.pyref import kernels as pk
 
-from .util import random_mlg
+from .util import named_local, random_mlg
 
 SEEDS = range(6)
 
@@ -104,7 +103,7 @@ def test_dcc_rejects_unknown_layer():
 
 @pytest.mark.parametrize("name", ["ppi-lite", "author-lite"])
 def test_named_datasets(name):
-    g, _ = get_local(name)
+    g = named_local(name)
     l = g.n_layers
     d = 4
     s = l // 2

@@ -8,7 +8,7 @@ from repro.datasets import load_spark
 from repro.oracle import assert_equivalent
 from repro.pyref import LocalMLGraph
 
-from .util import random_mlg
+from .util import messy_frame, random_mlg
 
 
 @pytest.fixture(scope="module")
@@ -50,11 +50,7 @@ def test_ingest_matches_local_graph(spark, seed, with_ids):
     """Repeated rows, both orientations and self-loops give the local graph's
     edges, once each; the vertices are ``vertex_ids`` plus every endpoint."""
     rng = np.random.default_rng(seed)
-    rows = rng.integers(1, 30, size=(150, 2))
-    rows = np.vstack([rows, rows[:40, ::-1], rows[40:60], np.repeat(rows[:10, :1], 2, axis=1)])
-    pdf = pd.DataFrame(
-        {"layer": rng.integers(1, 4, size=len(rows)), "src": rows[:, 0], "dst": rows[:, 1]}
-    ).sample(frac=1, random_state=seed)
+    pdf = messy_frame(rng, seed)
     # Some endpoints, and ids of no edge at all.
     ids = set(rng.choice(29, size=10).tolist()) | {40, 41, 42} if with_ids else None
     g = MultiLayerGraph.from_pandas(spark, pdf, n_layers=3, vertex_ids=ids)

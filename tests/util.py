@@ -5,6 +5,10 @@ import random
 from itertools import combinations
 from typing import Dict, FrozenSet, List, Sequence, Set, Tuple
 
+import numpy as np
+import pandas as pd
+
+from repro.datasets import generate
 from repro.pyref.local_graph import LocalMLGraph
 
 
@@ -35,6 +39,24 @@ def random_mlg(
                 if rng.random() < prob:
                     edges.append((layer, u, v))
     return LocalMLGraph.from_edges(edges, n_layers=l, vertices=range(1, n + 1))
+
+
+def named_local(name: str) -> LocalMLGraph:
+    """A named dataset as the set-based oracle graph, built from its generated edges."""
+    pdf, _, spec = generate(name)
+    return LocalMLGraph.from_edges(
+        pdf.itertuples(index=False, name=None), n_layers=spec.l, vertices=range(1, spec.n + 1)
+    )
+
+
+def messy_frame(rng: np.random.Generator, seed: int) -> pd.DataFrame:
+    """A 3-layer edge frame over ids 1..29 drawn from ``rng``, with repeated
+    rows, both orientations and self-loops, shuffled by ``seed``."""
+    rows = rng.integers(1, 30, size=(150, 2))
+    rows = np.vstack([rows, rows[:40, ::-1], rows[40:60], np.repeat(rows[:10, :1], 2, axis=1)])
+    return pd.DataFrame(
+        {"layer": rng.integers(1, 4, size=len(rows)), "src": rows[:, 0], "dst": rows[:, 1]}
+    ).sample(frac=1, random_state=seed)
 
 
 def brute_force_dcc(

@@ -1,4 +1,11 @@
-"""Golden replay: stored rows of Figs. 15/17, 18–21, 22–25 and 28, recomputed on the local engine."""
+"""Golden replay: stored rows of Figs. 15/17, 18–21, 22–25 and 28, recomputed on the local engine.
+
+Each row's ``cov`` and ``dcc_calls`` come from its ``results/`` table. Its
+candidate count and a hash of its entries come from ``golden_entries.json``
+beside this file; ``python -m tests.test_golden`` rewrites that file from
+the current program.
+"""
+import hashlib
 import json
 import os
 
@@ -21,10 +28,39 @@ K_ROWS = [
 ]
 
 
+GOLDEN_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden_entries.json")
+
+
+def _key(row):
+    return "|".join(
+        [row["dataset"], row.get("variant", ""), row["algorithm"]]
+        + [f"{p}={row[p]}" for p in ("d", "s", "k")]
+    )
+
+
+def _fingerprint(res):
+    """Candidate count and the hash of the sorted ``(L, sorted C)`` entries,
+    as perfbench's ``checks.fingerprint`` hashes them."""
+    entries = sorted((tuple(L), tuple(sorted(C))) for L, C in res.entries)
+    blob = json.dumps(entries).encode()
+    return {"n_candidates": res.n_candidates, "entries_sha": hashlib.sha256(blob).hexdigest()[:16]}
+
+
+def _load_golden():
+    with open(GOLDEN_PATH) as f:
+        return json.load(f)
+
+
+def _run(row):
+    vertex_del, flags = ABLATION_VARIANTS[row["variant"]] if "variant" in row else (True, {})
+    ctx = get_context(row["dataset"], row["d"], row["s"], vertex_del=vertex_del)
+    return run_algorithm(row["algorithm"], ctx, row["k"], **flags)
+
+
 def _replay(row):
-    ctx = get_context(row["dataset"], row["d"], row["s"])
-    res = run_algorithm(row["algorithm"], ctx, row["k"])
+    res = _run(row)
     assert (res.cov_size, res.n_dcc_calls) == (row["cov"], row["dcc_calls"])
+    assert _fingerprint(res) == _load_golden()[_key(row)]
 
 
 @pytest.mark.parametrize(
@@ -55,7 +91,11 @@ def test_replay_k(row):
 )
 def test_replay_preprocessing_ablation(row):
     """The Fig. 28 variants: No-VD contexts and the BU/TD search flags."""
-    vertex_del, flags = ABLATION_VARIANTS[row["variant"]]
-    ctx = get_context(row["dataset"], row["d"], row["s"], vertex_del=vertex_del)
-    res = run_algorithm(row["algorithm"], ctx, row["k"], **flags)
-    assert (res.cov_size, res.n_dcc_calls) == (row["cov"], row["dcc_calls"])
+    _replay(row)
+
+
+if __name__ == "__main__":
+    golden = {_key(r): _fingerprint(_run(r)) for r in ROWS + D_ROWS + K_ROWS + ABLATION_ROWS}
+    with open(GOLDEN_PATH, "w") as f:
+        json.dump(golden, f, indent=1, sort_keys=True)
+        f.write("\n")

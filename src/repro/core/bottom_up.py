@@ -8,27 +8,22 @@ for all descendants (Lemma 4). Preprocessing: vertex deletion (in the
 context builder), layer sorting, and greedy InitTopK. 1/4-approximate
 (Theorem 3).
 
-The tree operates on layer *positions* of the sorted layer order; the
-``order`` list maps positions back to actual layer numbers for kernel
-calls and reported layer sets.
+The tree operates on layer *positions* of the sorted layer order
+(:func:`~repro.core.result.layer_order`), which maps them back to actual
+layer numbers for kernel calls and reported layer sets. Vertex sets are
+ascending arrays of dense indices; ``C_L ∩ C^d(G_j)`` is ``C_L`` masked
+by layer ``j``'s row of the core matrix.
 """
 from __future__ import annotations
 
 import time
-from typing import Dict, FrozenSet, List, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Tuple
+
+import numpy as np
 
 from .engine import DCCSContext
-from .result import DCCSResult, init_topk, make_result
+from .result import DCCSResult, init_topk, layer_order, make_result
 from .topk import TopKDiversified
-
-
-def _layer_order(ctx: DCCSContext, enabled: bool, *, descending: bool) -> List[int]:
-    """Sorted-layers preprocessing: position -> actual layer number."""
-    layers = list(range(1, ctx.n_layers + 1))
-    if not enabled:
-        return layers
-    sign = -1 if descending else 1
-    return sorted(layers, key=lambda i: (sign * len(ctx.cores[i]), i))
 
 
 def bu_dccs(
@@ -42,38 +37,36 @@ def bu_dccs(
     t0 = time.perf_counter()
     ctx.n_dcc_calls = 0
     l, s = ctx.n_layers, ctx.s
-    order = _layer_order(ctx, sort_layers, descending=True)
-    core_at = {p: ctx.cores[order[p - 1]] for p in range(1, l + 1)}
+    actual, core_at = layer_order(ctx, sort_layers, descending=True)
 
     topk = init_topk(ctx, k) if init_result else TopKDiversified(k=k)
     n_candidates = 0
 
-    def actual(L_pos: Sequence[int]) -> List[int]:
-        return sorted(order[p - 1] for p in L_pos)
-
     def bu_gen(
-        L_pos: Tuple[int, ...], C_L: FrozenSet[int], L_Q: FrozenSet[int]
+        L_pos: Tuple[int, ...], C_L: np.ndarray, L_Q: FrozenSet[int]
     ) -> None:
         nonlocal n_candidates
         max_l = L_pos[-1] if L_pos else 0
         L_P = [p for p in range(max_l + 1, l + 1) if p not in L_Q]
         if not L_P:
             return
+        inside = core_at[:, C_L]  # inside[p - 1, x]: C_L[x] in the core at position p
         sorted_desc = topk.size == k
         if sorted_desc:
             # Lemma 3 needs descending |C_L ∩ C^d(G_j)| order for `break`.
-            L_P.sort(key=lambda p: (-len(C_L & core_at[p]), p))
+            size = inside.sum(1)
+            L_P.sort(key=lambda p: (-size[p - 1], p))
         L_R: List[int] = []
-        children: Dict[int, FrozenSet[int]] = {}
+        children: Dict[int, np.ndarray] = {}
         for p in L_P:
-            bound = C_L & core_at[p]
+            bound = C_L[inside[p - 1]]
             if topk.size == k and len(bound) < topk.order_prune_threshold():
                 if sorted_desc:
                     break  # Lemma 3: this child and all successors are hopeless
                 continue  # unsorted (k reached mid-loop): skip this child only
             L_new = L_pos + (p,)
             if len(L_new) == 1:
-                C_new = core_at[p]  # C^d_{{i}} = C^d(G_i), precomputed
+                C_new = bound  # C^d_{{i}} = C^d(G_i): at the root C_L is every vertex
             else:
                 C_new = ctx.run_dcc(bound, actual(L_new))
             if len(L_new) == s:
@@ -87,6 +80,6 @@ def bu_dccs(
             for p in L_R:
                 bu_gen(L_pos + (p,), children[p], banned)
 
-    bu_gen((), ctx.vertices, frozenset())
+    bu_gen((), np.arange(ctx.graph.n), frozenset())
     entries = [(e.layers, e.vertices) for e in topk.results()]
     return make_result("BU-DCCS", ctx, k, entries, t0, n_candidates)

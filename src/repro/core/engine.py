@@ -3,10 +3,14 @@
 The GD/BU/TD algorithms are written once against :class:`DCCSContext`,
 which exposes exactly what the search trees consume:
 
-* the preprocessed (vertex-deletion fixpoint) vertex set,
-* the per-layer d-cores of the pruned graph,
-* a ``dcc(S, L)`` kernel computing ``C^d_L(G[S])`` on the pruned graph,
-* the pruned graph as driver arrays (for the TD Num-index).
+* the pruned graph (the vertex-deletion fixpoint) as driver arrays,
+* its per-layer d-cores, the bool matrix ``pairs``,
+* a ``dcc(S, L)`` kernel computing ``C^d_L(G[S])`` on the pruned graph.
+
+The search has one vertex-set representation: an ascending array of dense
+indices of the pruned graph, vertex ``i`` being ``graph.ids[i]``. Vertex
+ids appear only in results (:func:`repro.core.result.make_result`) and in
+the context's read-only id views ``vertices`` and ``cores``.
 
 Two builders, which end in the same driver step,
 :func:`~repro.core.preprocess.prune` (peel to the vertex-deletion fixpoint,
@@ -27,7 +31,9 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Dict, FrozenSet, Iterable, Sequence
+from typing import Callable, Dict, FrozenSet, Sequence
+
+import numpy as np
 
 from ..pyref.local_graph import LocalMLGraph
 from .graph import MultiLayerGraph
@@ -46,16 +52,25 @@ class DCCSContext:
     d: int
     s: int
     n_layers: int
-    vertices: FrozenSet[int]  # survivors of vertex deletion
-    cores: Dict[int, FrozenSet[int]]  # per-layer d-cores of pruned graph
-    dcc: Callable[[Iterable[int], Sequence[int]], FrozenSet[int]]
     graph: PeelGraph  # pruned graph as driver arrays (d-CC kernel, TD index)
+    pairs: np.ndarray  # bool, pairs[i - 1, v]: dense v in C^d(G_i) of the pruned graph
+    dcc: Callable[[np.ndarray, Sequence[int]], np.ndarray]
     preprocess_seconds: float
     n_dcc_calls: int = 0
     call_budget: int | None = None  # raise CallBudgetExceeded past this
     deadline: float | None = None  # time.perf_counter() cutoff (DNF handling)
 
-    def run_dcc(self, S: Iterable[int], L: Sequence[int]) -> FrozenSet[int]:
+    @property
+    def vertices(self) -> FrozenSet[int]:
+        """Ids of the survivors of vertex deletion (a read-only view)."""
+        return Preprocessed(self.graph, self.pairs).survivors
+
+    @property
+    def cores(self) -> Dict[int, FrozenSet[int]]:
+        """``{i: C^d(G_i)}`` of the pruned graph as id sets (a read-only view)."""
+        return Preprocessed(self.graph, self.pairs).cores_by_layer()
+
+    def run_dcc(self, S: np.ndarray, L: Sequence[int]) -> np.ndarray:
         """Counted ``C^d_L(G[S])`` call (search-space accounting)."""
         if self.call_budget is not None and self.n_dcc_calls >= self.call_budget:
             raise CallBudgetExceeded(f"exceeded {self.call_budget} dCC calls")
@@ -108,9 +123,8 @@ def _context(pre: Preprocessed, d: int, s: int, t0: float) -> DCCSContext:
         d=d,
         s=s,
         n_layers=pre.graph.n_layers,
-        vertices=pre.survivors,
-        cores=pre.cores_by_layer(),
-        dcc=partial(pre.graph.dcc, d=d),
         graph=pre.graph,
+        pairs=pre.pairs,
+        dcc=partial(pre.graph.dcc, d=d),
         preprocess_seconds=time.perf_counter() - t0,
     )

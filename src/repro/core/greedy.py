@@ -4,51 +4,54 @@ Phase 1 materialises *every* candidate d-CC ``C^d_L`` for ``|L| = s``
 (each bounded via Lemma 1 by the intersection of per-layer d-cores);
 phase 2 selects ``k`` of them by greedy max-k-cover. ``(1 − 1/e)``-
 approximate (Theorem 2), but the candidate collection has size
-``C(l, s)`` — the scalability wall the search algorithms remove.
+``C(l, s)`` — the scalability wall the search algorithms remove. Vertex
+sets are ascending arrays of dense indices of the pruned graph, as
+everywhere in the search (see :mod:`repro.core.engine`).
 """
 from __future__ import annotations
 
 import time
 from itertools import combinations
-from typing import FrozenSet, List, Sequence, Set, Tuple
+from typing import List, Sequence, Tuple
+
+import numpy as np
 
 from .engine import DCCSContext
 from .result import DCCSResult, make_result
 
+Candidate = Tuple[Tuple[int, ...], np.ndarray]  # (L, C^d_L as dense indices)
 
-def enumerate_candidates(
-    ctx: DCCSContext,
-) -> List[Tuple[Tuple[int, ...], FrozenSet[int]]]:
+
+def enumerate_candidates(ctx: DCCSContext) -> List[Candidate]:
     """All ``(L, C^d_L)`` with ``|L| = s`` (GD-DCCS lines 2–7)."""
-    out: List[Tuple[Tuple[int, ...], FrozenSet[int]]] = []
-    layers = range(1, ctx.n_layers + 1)
-    for L in combinations(layers, ctx.s):
-        S: FrozenSet[int] = ctx.cores[L[0]]
-        for i in L[1:]:
-            S = S & ctx.cores[i]
-        C = ctx.run_dcc(S, list(L))
-        out.append((L, C))
+    out: List[Candidate] = []
+    for L in combinations(range(1, ctx.n_layers + 1), ctx.s):
+        S = np.flatnonzero(ctx.pairs[[i - 1 for i in L]].all(0))  # Lemma 1 bound
+        out.append((L, ctx.run_dcc(S, list(L))))
     return out
 
 
-def greedy_max_k_cover(
-    candidates: Sequence[Tuple[Tuple[int, ...], FrozenSet[int]]], k: int
-) -> List[Tuple[Tuple[int, ...], FrozenSet[int]]]:
+def greedy_max_k_cover(candidates: Sequence[Candidate], k: int) -> List[Candidate]:
     """GD-DCCS lines 8–10: repeatedly take the max-marginal-gain candidate.
 
-    Ties break to the earliest candidate in enumeration order so runs are
-    deterministic across engines.
+    Gains come from a candidates × vertices membership matrix whose covered
+    columns are cleared after each pick. A chosen row's gain is ``-1``, and
+    ``argmax`` takes the earliest candidate in enumeration order on ties, so
+    runs are deterministic across engines.
     """
-    chosen: List[Tuple[Tuple[int, ...], FrozenSet[int]]] = []
-    covered: Set[int] = set()
-    pool = list(candidates)
-    for _ in range(min(k, len(pool))):
-        best_idx = max(
-            range(len(pool)), key=lambda i: (len(pool[i][1] - covered), -i)
-        )
-        L, C = pool.pop(best_idx)
-        chosen.append((L, C))
-        covered |= C
+    n = max((int(C[-1]) + 1 for _, C in candidates if len(C)), default=0)
+    member = np.zeros((len(candidates), n), bool)
+    for row, (_, C) in zip(member, candidates):
+        row[C] = True
+    gain = member.sum(1)
+    chosen: List[Candidate] = []
+    for _ in range(min(k, len(candidates))):
+        best = int(np.argmax(gain))
+        chosen.append(candidates[best])
+        new = np.flatnonzero(member[best])
+        gain -= member[:, new].sum(1)
+        member[:, new] = False
+        gain[best] = -1
     return chosen
 
 

@@ -7,7 +7,9 @@ survivor holds ``Num(v) >= h``), and in ``I_1`` if it survives at no
 ``h``. This is the stage at which the paper's staged batch removal on
 ``Num(v) <= h`` takes ``v`` out.
 
-``RefineC`` uses the index through :meth:`NumIndex.scope` (Lemma 8):
+The index is one array, ``stage[v]`` for each dense vertex index ``v`` of
+the graph it was built on. ``RefineC`` uses it through
+:meth:`NumIndex.scope` (Lemma 8):
 ``C^d_{L'} ⊆ U_{L'} ∩ ⋃_{h >= |L'|} I_h``. The level-by-level
 early-termination scan of Fig. 10 is replaced by plain d-CC peeling on the
 filtered scope — the output is identical (see DESIGN.md §2).
@@ -15,7 +17,7 @@ filtered scope — the output is identical (see DESIGN.md §2).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable
+from typing import Iterable
 
 import numpy as np
 
@@ -26,7 +28,7 @@ from .peel import Peel, PeelGraph
 class NumIndex:
     """Stage partition of a multi-layer graph at degree threshold ``d``."""
 
-    stage_of: Dict[int, int]  # v -> h with v in I_h
+    stage: np.ndarray  # stage[v] = h with dense vertex v in I_h
 
     @classmethod
     def build(cls, g: PeelGraph, d: int) -> "NumIndex":
@@ -39,9 +41,8 @@ class NumIndex:
         stage = np.ones(g.n, np.int64)
         for h in range(1, g.n_layers + 1):
             stage[peel.run(h).alive] = h
-        return cls(stage_of=dict(zip(g.ids.tolist(), stage.tolist())))
+        return cls(stage=stage)
 
-    def scope(self, U: Iterable[int], L_prime: Iterable[int]) -> FrozenSet[int]:
-        """Lemma 8 search-scope filter: ``U ∩ ⋃_{h >= |L'|} I_h``."""
-        need = len(set(L_prime))
-        return frozenset(v for v in U if self.stage_of.get(v, 0) >= need)
+    def scope(self, U: np.ndarray, L_prime: Iterable[int]) -> np.ndarray:
+        """Lemma 8 search-scope filter on the dense set ``U``: ``U ∩ ⋃_{h >= |L'|} I_h``."""
+        return U[self.stage[U] >= len(set(L_prime))]

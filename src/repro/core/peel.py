@@ -14,7 +14,9 @@ greatest fixpoint, and a fixpoint for ``s`` is a valid start for any
 ``s' >= s``. The three callers:
 
 * ``dcc(S, L)`` (Appendix B): the graph induced on ``S`` and the layers of
-  ``L``, peeled with ``s = |L|`` — a vertex losing any pair loses all;
+  ``L``, peeled with ``s = |L|`` — a vertex losing any pair loses all.
+  ``S`` and the core are ascending arrays of dense indices, the one
+  vertex-set representation of the search (see :mod:`repro.core.engine`);
 * vertex deletion (Section IV-C, :func:`repro.core.preprocess.prune`):
   all layers, the query's ``s``; the surviving pairs are the per-layer
   d-cores of the pruned graph. The No-VD ablation is the same peel with
@@ -156,7 +158,7 @@ class PeelGraph:
         return self.vertex_set(self.nbr[self.indptr[r] : self.indptr[r + 1]])
 
     def index(self, S: Iterable[int]) -> np.ndarray:
-        """Ascending dense indices of the members of ``S`` that are vertices here."""
+        """Ascending dense indices of the members of the id set ``S`` that are vertices here."""
         want = np.fromiter(S, np.int64)
         pos = np.searchsorted(self.ids, want)
         hit = pos < self.n
@@ -194,18 +196,17 @@ class PeelGraph:
         fwd = u < v
         return zip((rows[fwd] // self.n + 1).tolist(), u[fwd].tolist(), v[fwd].tolist())
 
-    def dcc(self, S: Iterable[int], L: Sequence[int], d: int) -> FrozenSet[int]:
+    def dcc(self, S: np.ndarray, L: Sequence[int], d: int) -> np.ndarray:
         """d-coherent core of ``G[S]`` w.r.t. the layers ``L`` (paper's dCC).
 
-        Members of ``S`` that are not vertices of this graph have no
-        neighbours, so they are peeled whenever ``d >= 1`` and ``L`` is not
-        empty; otherwise ``S`` is returned whole, as every vertex qualifies.
+        ``S`` is an ascending array of dense indices; the core is the part
+        of ``S`` that survives the peel. For ``d <= 0`` or an empty ``L``
+        every vertex qualifies and ``S`` is returned whole.
         """
         if not L or d <= 0:
-            return frozenset(S)
+            return S
         layers = np.unique(np.asarray(L, np.int64)) - 1
-        sub = self.induced(self.index(S), layers)
-        return sub.vertex_set(Peel(sub, d).run(len(layers)).alive)
+        return S[Peel(self.induced(S, layers), d).run(len(layers)).alive]
 
 
 class Peel:

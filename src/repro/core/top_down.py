@@ -16,17 +16,19 @@ only ever add vertices to ``C_L``). Per child:
 Pruning: Lemma 5 (Eq. (1) on ``U_{L'}`` kills subtrees), Lemma 6
 (descending ``|U_{L'}|`` order admits early loop exit), Lemma 7 (when
 Eq. (2) also holds, a single deterministic descendant suffices).
-1/4-approximate (Theorem 4).
+1/4-approximate (Theorem 4). Vertex sets, ``U_L`` and ``C_L`` alike, are
+ascending arrays of dense indices (see :mod:`repro.core.engine`).
 """
 from __future__ import annotations
 
 import time
-from typing import FrozenSet, List, Sequence, Tuple
+from typing import FrozenSet, List, Tuple
 
-from .bottom_up import _layer_order
+import numpy as np
+
 from .engine import DCCSContext
 from .index import NumIndex
-from .result import DCCSResult, init_topk, make_result
+from .result import DCCSResult, init_topk, layer_order, make_result
 from .topk import TopKDiversified
 
 
@@ -43,26 +45,21 @@ def td_dccs(
     l, s = ctx.n_layers, ctx.s
     # Layers ascending by |C^d(G_i)| (Fig. 11 line 2): a small-core layer is
     # unlikely to support a large d-CC, so it should be *removable* early.
-    order = _layer_order(ctx, sort_layers, descending=False)
-    core_at = {p: ctx.cores[order[p - 1]] for p in range(1, l + 1)}
+    actual, core_at = layer_order(ctx, sort_layers, descending=False)
     index = NumIndex.build(ctx.graph, ctx.d)
 
     topk = init_topk(ctx, k) if init_result else TopKDiversified(k=k)
     n_candidates = 0
     full = frozenset(range(1, l + 1))
 
-    def actual(L_pos: Sequence[int]) -> List[int]:
-        return sorted(order[p - 1] for p in L_pos)
-
     def removable(L_pos: FrozenSet[int]) -> List[int]:
         """``L_R``: positions of ``L`` larger than ``max([l] − L)`` (Fig. 8 line 1)."""
-        rest = full - L_pos
-        mx = max(rest) if rest else 0
+        mx = max(full - L_pos, default=0)
         return sorted(p for p in L_pos if p > mx)
 
     def refine_u(
-        U: FrozenSet[int], L_prime: FrozenSet[int], *, peel: bool = True
-    ) -> FrozenSet[int]:
+        U: np.ndarray, L_prime: FrozenSet[int], *, peel: bool = True
+    ) -> np.ndarray:
         """Fig. 9: Class-2 core-membership filter + Class-1 degree peeling.
 
         Method 2's membership counts don't depend on ``U``, so one filter
@@ -72,22 +69,19 @@ def td_dccs(
         over-approximation of every level-s descendant — used to order
         children for Lemma 6 without paying a peel per pruned child.
         """
-        rest = full - L_prime
-        mx = max(rest) if rest else 0
+        mx = max(full - L_prime, default=0)
         M = frozenset(p for p in L_prime if p < mx)
         N = L_prime - M
         need = s - len(M)
         if need > 0:
-            U = frozenset(
-                v for v in U if sum(1 for p in N if v in core_at[p]) >= need
-            )
+            U = U[core_at[[p - 1 for p in N]][:, U].sum(0) >= need]
         if peel and M:
-            U = ctx.run_dcc(U, actual(sorted(M)))
+            U = ctx.run_dcc(U, actual(M))
         return U
 
-    def refine_c(U_prime: FrozenSet[int], L_prime: FrozenSet[int]) -> FrozenSet[int]:
+    def refine_c(U_prime: np.ndarray, L_prime: FrozenSet[int]) -> np.ndarray:
         """Lemma-8 index scope, then exact d-CC peeling."""
-        L = actual(sorted(L_prime))
+        L = actual(L_prime)
         return ctx.run_dcc(index.scope(U_prime, L), L)
 
     def leftmost_level_s(L_prime: FrozenSet[int]) -> FrozenSet[int] | None:
@@ -100,9 +94,7 @@ def td_dccs(
             S.discard(max(rem))
         return frozenset(S)
 
-    def td_gen(
-        L_pos: FrozenSet[int], C_L: FrozenSet[int], U_L: FrozenSet[int]
-    ) -> None:
+    def td_gen(L_pos: FrozenSet[int], C_L: np.ndarray, U_L: np.ndarray) -> None:
         nonlocal n_candidates
         L_R = removable(L_pos)
         if not L_R:
@@ -114,7 +106,7 @@ def td_dccs(
                 C_prime = refine_c(U_prime, L_prime)
                 if len(L_prime) == s:
                     n_candidates += 1
-                    topk.update(C_prime, actual(sorted(L_prime)))
+                    topk.update(C_prime, actual(L_prime))
                 else:
                     td_gen(L_prime, C_prime, U_prime)
             return
@@ -122,7 +114,7 @@ def td_dccs(
         # break on it (Lemma 6 — sound because the loose U is itself a valid
         # potential set and the true U is its subset); only survivors pay
         # the full Class-1 peel.
-        refined: List[Tuple[int, FrozenSet[int], FrozenSet[int]]] = []
+        refined: List[Tuple[int, FrozenSet[int], np.ndarray]] = []
         for j in L_R:
             L_prime = L_pos - {j}
             refined.append((j, L_prime, refine_u(U_L, L_prime, peel=False)))
@@ -136,7 +128,7 @@ def td_dccs(
             C_prime = refine_c(U_prime, L_prime)
             if len(L_prime) == s:
                 n_candidates += 1
-                topk.update(C_prime, actual(sorted(L_prime)))
+                topk.update(C_prime, actual(L_prime))
                 continue
             if not topk.satisfies_eq1(U_prime):
                 continue  # Lemma 5: no level-s descendant can satisfy Eq. (1)
@@ -145,16 +137,17 @@ def td_dccs(
                 S = leftmost_level_s(L_prime)
                 if S is not None:
                     n_candidates += 1
-                    C_S = ctx.run_dcc(U_prime, actual(sorted(S)))
-                    topk.update(C_S, actual(sorted(S)))
+                    C_S = ctx.run_dcc(U_prime, actual(S))
+                    topk.update(C_S, actual(S))
                 continue
             td_gen(L_prime, C_prime, U_prime)
 
-    C_root = ctx.run_dcc(ctx.vertices, actual(sorted(full)))
+    everyone = np.arange(ctx.graph.n)
+    C_root = ctx.run_dcc(everyone, actual(full))
     if s == l:
         n_candidates += 1
-        topk.update(C_root, actual(sorted(full)))
+        topk.update(C_root, actual(full))
     else:
-        td_gen(full, C_root, ctx.vertices)
+        td_gen(full, C_root, everyone)
     entries = [(e.layers, e.vertices) for e in topk.results()]
     return make_result("TD-DCCS", ctx, k, entries, t0, n_candidates)

@@ -95,7 +95,7 @@ def run_algorithm(
         ctx,
         n_dcc_calls=0,
         call_budget=call_budget,
-        deadline=(t0 + time_budget) if time_budget else None,
+        deadline=None if time_budget is None else t0 + time_budget,
     )
     try:
         return ALGOS[algo](my_ctx, k, **flags)

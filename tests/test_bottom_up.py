@@ -2,9 +2,8 @@
 import pytest
 
 from repro.core import bu_dccs, gd_dccs, local_context
-from repro.core.greedy import enumerate_candidates
 
-from .util import brute_force_dcc, brute_force_max_k_cover, random_mlg
+from .util import brute_force_dcc, brute_force_max_k_cover, id_candidates, random_mlg
 
 SEEDS = range(6)
 
@@ -28,7 +27,7 @@ def test_quarter_approximation(seed, k):
     g = random_mlg(28, 4, 0.12, seed)
     ctx = local_context(g, 2, 2)
     res = bu_dccs(ctx, k)
-    sets = [C for _, C in enumerate_candidates(local_context(g, 2, 2))]
+    sets = list(id_candidates(local_context(g, 2, 2)).values())
     opt = brute_force_max_k_cover(sets, k)
     assert res.cov_size >= opt / 4 - 1e-9
 

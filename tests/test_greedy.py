@@ -1,12 +1,13 @@
 """GD-DCCS: candidate enumeration, greedy selection, approximation ratio."""
 import math
 
+import numpy as np
 import pytest
 
 from repro.core import gd_dccs, local_context
 from repro.core.greedy import enumerate_candidates, greedy_max_k_cover
 
-from .util import all_candidate_dccs, brute_force_max_k_cover, random_mlg
+from .util import all_candidate_dccs, brute_force_max_k_cover, id_candidates, random_mlg
 
 SEEDS = range(5)
 
@@ -16,7 +17,7 @@ SEEDS = range(5)
 def test_candidates_match_brute_force(seed, d, s):
     g = random_mlg(25, 3, 0.15, seed)
     ctx = local_context(g, d, s)
-    got = dict(enumerate_candidates(ctx))
+    got = id_candidates(ctx)
     want = all_candidate_dccs(g, d, s)
     assert got == want
 
@@ -28,11 +29,16 @@ def test_candidate_count_is_l_choose_s(seed):
     assert len(enumerate_candidates(ctx)) == math.comb(4, 2)
 
 
+def dense(*vertices):
+    """A candidate's vertex set: ascending dense indices."""
+    return np.array(vertices, np.int64)
+
+
 def test_greedy_selection_maximises_marginal_gain():
     cands = [
-        ((1,), frozenset({1, 2, 3})),
-        ((2,), frozenset({3, 4})),
-        ((3,), frozenset({4, 5, 6, 7})),
+        ((1,), dense(1, 2, 3)),
+        ((2,), dense(3, 4)),
+        ((3,), dense(4, 5, 6, 7)),
     ]
     chosen = greedy_max_k_cover(cands, 2)
     assert chosen[0][0] == (3,)  # largest first
@@ -40,12 +46,12 @@ def test_greedy_selection_maximises_marginal_gain():
 
 
 def test_greedy_returns_k_even_with_zero_gain():
-    cands = [((1,), frozenset({1})), ((2,), frozenset({1})), ((3,), frozenset({1}))]
+    cands = [((1,), dense(1)), ((2,), dense(1)), ((3,), dense(1))]
     assert len(greedy_max_k_cover(cands, 2)) == 2
 
 
 def test_greedy_fewer_candidates_than_k():
-    cands = [((1,), frozenset({1}))]
+    cands = [((1,), dense(1))]
     assert len(greedy_max_k_cover(cands, 5)) == 1
 
 
@@ -56,7 +62,7 @@ def test_gd_approximation_ratio(seed, k):
     g = random_mlg(25, 4, 0.12, seed)
     ctx = local_context(g, 2, 2)
     res = gd_dccs(ctx, k)
-    sets = [C for _, C in enumerate_candidates(local_context(g, 2, 2))]
+    sets = list(id_candidates(local_context(g, 2, 2)).values())
     opt = brute_force_max_k_cover(sets, k)
     assert res.cov_size >= (1 - 1 / math.e) * opt - 1e-9
 

@@ -69,6 +69,14 @@ def test_run_algorithm_time_budget_dnf():
     assert res.extra.get("dnf") == 1.0
 
 
+def test_run_algorithm_zero_time_budget_dnf():
+    """A budget of 0 s is spent before the first d-CC call, not unlimited."""
+    ctx = get_context("ppi-lite", 4, 3)
+    res = run_algorithm("BU-DCCS", ctx, 5, time_budget=0.0)
+    assert res.extra.get("dnf") == 1.0
+    assert res.entries == [] and res.n_dcc_calls == 0
+
+
 def test_sweep_s_small_rows():
     rows = sweep_s_small(datasets=("ppi-lite",), s_values=(1, 2), k=3)
     assert len(rows) == 4  # 2 s-values x 2 algorithms

@@ -2,10 +2,13 @@
 
 Each check runs on small random graphs and on the ppi-lite and author-lite
 named datasets: d-CC, vertex-deletion survivors and cores (and No-VD), and
-the Num-index stages.
+the Num-index stages. The driver peel works on dense vertex indices; the
+checks map id sets in through ``PeelGraph.index`` and back out through
+``PeelGraph.ids``.
 """
 from itertools import combinations, islice
 
+import numpy as np
 import pytest
 
 from repro.core import local_context
@@ -30,10 +33,16 @@ def _layer_sets(l: int):
         yield from combinations(range(1, l + 1), r)
 
 
+def dcc_ids(graph: PeelGraph, S, L, d: int) -> frozenset:
+    """``graph.dcc`` of the id set ``S``, as ids."""
+    return frozenset(graph.ids[graph.dcc(graph.index(S), L, d)].tolist())
+
+
 def check_dcc(g: LocalMLGraph, d: int, S, layer_sets) -> None:
+    """The dense ``S`` holds the members of ``S`` that are vertices of ``g``."""
     graph = PeelGraph.from_local(g)
     for L in layer_sets:
-        assert graph.dcc(S, L, d) == pk.dcc(g, S, list(L), d), L
+        assert dcc_ids(graph, S, L, d) == pk.dcc(g, g.vertices & set(S), list(L), d), L
 
 
 def check_vertex_deletion(g: LocalMLGraph, d: int, s_values) -> None:
@@ -48,14 +57,14 @@ def check_vertex_deletion(g: LocalMLGraph, d: int, s_values) -> None:
 
 
 def check_stage_of(g: LocalMLGraph, d: int, s: int) -> None:
-    """On the graph pruned at ``s``: stage_of(v) = max{h : v survives at s = h}."""
+    """On the graph pruned at ``s``: stage(v) = max{h : v survives at s = h}."""
     survivors = {h: pk.vertex_deletion(g, d, h)[0] for h in g.layers}
     for ctx in (local_context(g, d, s), local_context(g, d, s, vertex_del=False)):
         idx = NumIndex.build(ctx.graph, d)
-        assert set(idx.stage_of) == ctx.vertices
+        assert len(idx.stage) == len(ctx.vertices)
         for v in ctx.vertices:
             want = max([h for h in g.layers if v in survivors[h]], default=1)
-            assert idx.stage_of[v] == want, v
+            assert idx.stage[ctx.graph.index([v])].tolist() == [want], v
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -92,13 +101,13 @@ def test_graph_arrays_round_trip(spread):
     assert set(graph.edges()) == set(g.edges())
     S = [v * spread for v in range(1, 28, 2)]
     assert set(graph.induced(graph.index(S)).edges()) == set(g.induced(S).edges())
-    assert graph.dcc(S, [1, 2], 2) == pk.dcc(g, S, [1, 2], 2)
+    assert dcc_ids(graph, S, [1, 2], 2) == pk.dcc(g, S, [1, 2], 2)
 
 
 def test_dcc_rejects_unknown_layer():
     graph = PeelGraph.from_local(_random_graph(0))
     with pytest.raises(ValueError):
-        graph.dcc(graph.vertices, [1, 4], 2)
+        graph.dcc(np.arange(graph.n), [1, 4], 2)
 
 
 @pytest.mark.parametrize("name", ["ppi-lite", "author-lite"])

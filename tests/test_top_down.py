@@ -2,9 +2,8 @@
 import pytest
 
 from repro.core import local_context, td_dccs
-from repro.core.greedy import enumerate_candidates
 
-from .util import brute_force_dcc, brute_force_max_k_cover, random_mlg
+from .util import brute_force_dcc, brute_force_max_k_cover, id_candidates, random_mlg
 
 SEEDS = range(6)
 
@@ -26,7 +25,7 @@ def test_quarter_approximation(seed, k):
     """Theorem 4: |Cov(R)| >= OPT/4."""
     g = random_mlg(28, 4, 0.12, seed)
     res = td_dccs(local_context(g, 3, 3), k)
-    sets = [C for _, C in enumerate_candidates(local_context(g, 3, 3))]
+    sets = list(id_candidates(local_context(g, 3, 3)).values())
     opt = brute_force_max_k_cover(sets, k)
     assert res.cov_size >= opt / 4 - 1e-9
 

@@ -1,7 +1,12 @@
-"""Top-k maintenance (Update/Size/Δ bookkeeping) vs. a naive reference."""
-import random
-from typing import List, Set
+"""Top-k maintenance (Update/Size/Δ bookkeeping) vs. a naive reference.
 
+``TopKDiversified`` takes vertex sets as ascending arrays of dense indices;
+the naive reference keeps them as frozensets of the same indices.
+"""
+import random
+from typing import Iterable, List, Set
+
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -42,6 +47,10 @@ class NaiveTopK:
         return False
 
 
+def dense(C: Iterable[int]) -> np.ndarray:
+    return np.array(sorted(C), np.int64)
+
+
 def random_sets(seed: int, n: int, universe: int, max_size: int):
     rng = random.Random(seed)
     return [
@@ -56,11 +65,11 @@ def test_update_matches_naive(seed, k):
     topk = TopKDiversified(k=k)
     naive = NaiveTopK(k)
     for C in random_sets(seed, 40, 30, 12):
-        applied = topk.update(C, (1,))
+        applied = topk.update(dense(C), (1,))
         applied_naive = naive.update(C)
         assert applied == applied_naive
         assert topk.cov_size == len(naive.cov())
-        assert topk.cover() == frozenset(naive.cov())
+        assert set(topk.cover().tolist()) == naive.cov()
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -68,57 +77,57 @@ def test_delta_bookkeeping_invariant(seed):
     """Incremental Δ values always equal recomputed exclusive covers."""
     topk = TopKDiversified(k=3)
     for C in random_sets(seed, 30, 25, 10):
-        topk.update(C, (1,))
+        topk.update(dense(C), (1,))
         entries = topk.results()
         for e in entries:
             others = set()
             for o in entries:
                 if o.eid != e.eid:
-                    others |= o.vertices
-            assert topk._delta[e.eid] == len(e.vertices - others)
+                    others |= set(o.vertices.tolist())
+            assert topk._delta[e.eid] == len(set(e.vertices.tolist()) - others)
 
 
 def test_rule1_fills_to_k():
     topk = TopKDiversified(k=3)
     for i in range(3):
-        assert topk.update(frozenset({i}), (i,))
+        assert topk.update(dense({i}), (i,))
     assert topk.size == 3
     assert topk.cov_size == 3
 
 
 def test_rule2_requires_eq1_gain():
     topk = TopKDiversified(k=2)
-    topk.update(frozenset({1, 2, 3}), (1,))
-    topk.update(frozenset({4, 5, 6}), (2,))
+    topk.update(dense({1, 2, 3}), (1,))
+    topk.update(dense({4, 5, 6}), (2,))
     # cov = 6; need >= (1 + 1/2)*6 = 9 after replacement — impossible here
-    assert not topk.update(frozenset({7, 8}), (3,))
+    assert not topk.update(dense({7, 8}), (3,))
     # big candidate: replacing worst gives {4,5,6} ∪ {7..12} = 9 >= 9
-    assert topk.update(frozenset({7, 8, 9, 10, 11, 12}), (3,))
+    assert topk.update(dense({7, 8, 9, 10, 11, 12}), (3,))
     assert 7 in topk.cover()
 
 
 def test_worst_breaks_ties_by_id():
     topk = TopKDiversified(k=2)
-    topk.update(frozenset({1}), (1,))
-    topk.update(frozenset({2}), (2,))
+    topk.update(dense({1}), (1,))
+    topk.update(dense({2}), (2,))
     assert topk.worst().eid == 0
 
 
 def test_replacement_cover_size_formula():
     topk = TopKDiversified(k=2)
-    topk.update(frozenset({1, 2}), (1,))
-    topk.update(frozenset({2, 3, 4}), (2,))
+    topk.update(dense({1, 2}), (1,))
+    topk.update(dense({2, 3, 4}), (2,))
     # worst = entry0 (Δ={1}); replace with {5}: cov({2,3,4}) ∪ {5} = 4
-    assert topk.replacement_cover_size(frozenset({5})) == 4
+    assert topk.replacement_cover_size(dense({5})) == 4
     # replace with {1}: {2,3,4} ∪ {1} = 4
-    assert topk.replacement_cover_size(frozenset({1})) == 4
+    assert topk.replacement_cover_size(dense({1})) == 4
     # replace with {2}: {2,3,4} = 3
-    assert topk.replacement_cover_size(frozenset({2})) == 3
+    assert topk.replacement_cover_size(dense({2})) == 3
 
 
 def test_duplicate_sets_allowed():
     topk = TopKDiversified(k=2)
-    C = frozenset({1, 2})
+    C = dense({1, 2})
     topk.update(C, (1,))
     topk.update(C, (2,))
     assert topk.size == 2
@@ -128,7 +137,7 @@ def test_duplicate_sets_allowed():
 
 def test_empty_candidate():
     topk = TopKDiversified(k=2)
-    topk.update(frozenset(), (1,))
+    topk.update(dense(()), (1,))
     assert topk.size == 1
     assert topk.cov_size == 0
 
@@ -139,5 +148,5 @@ def test_update_matches_naive_hypothesis(seed):
     topk = TopKDiversified(k=3)
     naive = NaiveTopK(3)
     for C in random_sets(seed, 25, 20, 8):
-        assert topk.update(C, (1,)) == naive.update(C)
-        assert topk.cover() == frozenset(naive.cov())
+        assert topk.update(dense(C), (1,)) == naive.update(C)
+        assert set(topk.cover().tolist()) == naive.cov()

@@ -8,6 +8,8 @@ from typing import Dict, FrozenSet, List, Sequence, Set, Tuple
 import numpy as np
 import pandas as pd
 
+from repro.core.engine import DCCSContext
+from repro.core.greedy import enumerate_candidates
 from repro.datasets import generate
 from repro.pyref.local_graph import LocalMLGraph
 
@@ -102,6 +104,11 @@ def all_candidate_dccs(
     for L in combinations(range(1, g.n_layers + 1), s):
         out[L] = brute_force_dcc(g, set(g.vertices), L, d)
     return out
+
+
+def id_candidates(ctx: DCCSContext) -> Dict[Tuple[int, ...], FrozenSet[int]]:
+    """GD's candidates ``{L: C^d_L}``, their dense vertex sets mapped to ids."""
+    return {L: frozenset(ctx.graph.ids[C].tolist()) for L, C in enumerate_candidates(ctx)}
 
 
 def component_labels(

@@ -13,10 +13,9 @@ Both rules only ever remove, so every removal order reaches the same
 greatest fixpoint, and a fixpoint for ``s`` is a valid start for any
 ``s' >= s``. The three callers:
 
-* ``dcc(S, L)`` (Appendix B): the graph induced on ``S`` and the layers of
-  ``L``, peeled with ``s = |L|`` — a vertex losing any pair loses all.
-  ``S`` and the core are ascending arrays of dense indices, the one
-  vertex-set representation of the search (see :mod:`repro.core.engine`);
+* ``dcc(S, L)`` (Appendix B): the graph induced on ``S`` (dense indices, as
+  every vertex set of the search) and the layers of ``L``, peeled with
+  ``s = |L|`` — a vertex losing any pair loses all;
 * vertex deletion (Section IV-C, :func:`repro.core.preprocess.prune`):
   all layers, the query's ``s``; the surviving pairs are the per-layer
   d-cores of the pruned graph. The No-VD ablation is the same peel with

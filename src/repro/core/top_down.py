@@ -16,8 +16,7 @@ only ever add vertices to ``C_L``). Per child:
 Pruning: Lemma 5 (Eq. (1) on ``U_{L'}`` kills subtrees), Lemma 6
 (descending ``|U_{L'}|`` order admits early loop exit), Lemma 7 (when
 Eq. (2) also holds, a single deterministic descendant suffices).
-1/4-approximate (Theorem 4). Vertex sets, ``U_L`` and ``C_L`` alike, are
-ascending arrays of dense indices (see :mod:`repro.core.engine`).
+1/4-approximate (Theorem 4).
 """
 from __future__ import annotations
 

@@ -58,9 +58,8 @@ def main(
 
 
 if __name__ == "__main__":
-    args = sys.argv[1:]
-    kw = {}
     names = ["dataset", "algo", "d", "s", "k", "engine"]
-    for i, a in enumerate(args):
-        kw[names[i]] = int(a) if names[i] in ("d", "s", "k") else a
-    main(**kw)
+    if len(sys.argv) > len(names) + 1:
+        print("usage: run_dccs.py <dataset> <algo> [d] [s] [k] [engine]", file=sys.stderr)
+        sys.exit(2)
+    main(**{n: int(a) if n in ("d", "s", "k") else a for n, a in zip(names, sys.argv[1:])})

@@ -21,7 +21,7 @@ from typing import Dict, FrozenSet, List, Tuple
 
 import numpy as np
 
-from .engine import DCCSContext
+from .engine import DCCSContext, check_query
 from .result import DCCSResult, init_topk, layer_order, make_result
 from .topk import TopKDiversified
 
@@ -34,6 +34,7 @@ def bu_dccs(
     init_result: bool = True,
 ) -> DCCSResult:
     """Run BU-DCCS; flags disable preprocessing steps for the Fig. 28 ablation."""
+    check_query(ctx.n_layers, ctx.d, ctx.s, k)
     t0 = time.perf_counter()
     ctx.n_dcc_calls = 0
     l, s = ctx.n_layers, ctx.s

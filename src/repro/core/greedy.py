@@ -16,7 +16,7 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .engine import DCCSContext
+from .engine import DCCSContext, check_query
 from .result import DCCSResult, make_result
 
 Candidate = Tuple[Tuple[int, ...], np.ndarray]  # (L, C^d_L as dense indices)
@@ -57,6 +57,7 @@ def greedy_max_k_cover(candidates: Sequence[Candidate], k: int) -> List[Candidat
 
 def gd_dccs(ctx: DCCSContext, k: int) -> DCCSResult:
     """Run GD-DCCS and return the top-k diversified d-CCs."""
+    check_query(ctx.n_layers, ctx.d, ctx.s, k)
     t0 = time.perf_counter()
     ctx.n_dcc_calls = 0
     candidates = enumerate_candidates(ctx)

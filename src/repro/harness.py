@@ -27,13 +27,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from . import config
 from .baseline.mimag import mimag
 from .core.bottom_up import bu_dccs
-from .core.engine import (
-    CallBudgetExceeded,
-    DCCSContext,
-    check_query,
-    local_context,
-    spark_context,
-)
+from .core.engine import CallBudgetExceeded, DCCSContext, local_context, spark_context
 from .core.greedy import gd_dccs
 from .core.peel import PeelGraph
 from .core.result import DCCSResult, make_result
@@ -87,9 +81,9 @@ def run_algorithm(
 
     DNF rows report the elapsed time as a *lower bound* (the paper handles
     its intractable brute-force baseline the same way). Raises
-    ``ValueError`` on a bad ``ctx.d``, ``ctx.s`` or ``k`` (:func:`check_query`).
+    ``ValueError`` on a bad ``ctx.d``, ``ctx.s`` or ``k``, which each
+    algorithm checks on entry (:func:`~repro.core.engine.check_query`).
     """
-    check_query(ctx.n_layers, ctx.d, ctx.s, k)
     t0 = time.perf_counter()
     my_ctx = dataclasses.replace(
         ctx,

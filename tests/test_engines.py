@@ -84,6 +84,17 @@ def test_support_outside_layer_range_rejected(gl, gs, s):
         spark_context(gs, 2, s)
 
 
+@pytest.mark.parametrize("algo", [gd_dccs, bu_dccs, td_dccs])
+def test_result_count_below_one_rejected(algo, ctx_local):
+    """Each algorithm raises on ``k < 1`` before its first d-CC call."""
+    import dataclasses
+
+    ctx = dataclasses.replace(ctx_local, n_dcc_calls=0)
+    with pytest.raises(ValueError, match="k=0 < 1"):
+        algo(ctx, 0)
+    assert ctx.n_dcc_calls == 0
+
+
 #: Every parameter of the core entry points, ``*`` before the keyword-only
 #: ones. An option that no job, table or benchmark sets selects a code path
 #: only tests run; add one only together with its caller.

@@ -1,7 +1,10 @@
-"""Source hygiene: no module imports a name it never uses.
+"""Source hygiene: no module imports a name it never uses, and no function
+in ``src/`` or ``jobs/`` takes a parameter it never reads.
 
-A stdlib ``ast`` scan stands in for a linter's unused-import rule. A name
-counts as used when the module reads it anywhere or lists it in ``__all__``.
+Stdlib ``ast`` scans stand in for a linter's unused-import and unused-argument
+rules. A name counts as used when the module reads it anywhere or lists it in
+``__all__``; a parameter, when its function's body (nested functions
+included) names it. ``self``, ``cls`` and ``_``-prefixed parameters are exempt.
 """
 import ast
 from pathlib import Path
@@ -51,3 +54,44 @@ def test_scan_flags_an_unused_import():
 def test_no_unused_imports(top):
     found = [hit for path in sorted((ROOT / top).rglob("*.py")) for hit in unused_imports(path)]
     assert not found, "unused imports:\n" + "\n".join(found)
+
+
+def _unused_params(tree: ast.Module):
+    """``(function, parameter, line)`` of every parameter its function's body never names."""
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        a = fn.args
+        params = [p.arg for p in (*a.posonlyargs, *a.args, a.vararg, *a.kwonlyargs, a.kwarg) if p]
+        body = fn.body if isinstance(fn.body, list) else [fn.body]
+        named = {n.id for stmt in body for n in ast.walk(stmt) if isinstance(n, ast.Name)}
+        for p in params:
+            if p not in named and p not in ("self", "cls") and not p.startswith("_"):
+                yield getattr(fn, "name", "lambda"), p, fn.lineno
+
+
+def unused_parameters(path: Path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return [f"{path.relative_to(ROOT)}:{line} {fn}({p})" for fn, p, line in _unused_params(tree)]
+
+
+def test_scan_flags_an_unused_parameter():
+    """``b`` and the lambda's ``y`` are never read; ``c`` is read by a nested
+    function, and ``self``, ``cls`` and ``_d`` are exempt."""
+    tree = ast.parse(
+        "class A:\n"
+        "    def f(self, a, b, c, *, _d):\n"
+        "        def g():\n"
+        "            return c\n"
+        "        return a + g()\n"
+        "    @classmethod\n"
+        "    def h(cls):\n"
+        "        return lambda x, y: x\n"
+    )
+    assert [(fn, p) for fn, p, _ in _unused_params(tree)] == [("f", "b"), ("lambda", "y")]
+
+
+@pytest.mark.parametrize("top", ("src", "jobs"))
+def test_no_unused_parameters(top):
+    found = [hit for path in sorted((ROOT / top).rglob("*.py")) for hit in unused_parameters(path)]
+    assert not found, "parameters never read:\n" + "\n".join(found)

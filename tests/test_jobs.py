@@ -159,6 +159,17 @@ def test_run_dccs_entrypoint(spark, capsys):
     assert printed == want
 
 
+def test_run_dccs_cli_rejects_extra_arguments():
+    """A seventh argument prints the usage line and exits 2 before any session starts."""
+    import subprocess
+
+    script = os.path.join(os.path.dirname(os.path.dirname(__file__)), "jobs", "run_dccs.py")
+    args = ["ppi-lite", "BU-DCCS", "2", "2", "2", "hybrid", "extra"]
+    done = subprocess.run([sys.executable, script, *args], capture_output=True, text=True)
+    assert done.returncode == 2
+    assert done.stderr.startswith("usage: run_dccs.py <dataset> <algo>")
+
+
 @pytest.fixture
 def no_loading(monkeypatch):
     """Makes starting a session or loading a dataset in run_dccs fail the test."""

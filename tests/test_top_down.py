@@ -2,6 +2,7 @@
 import pytest
 
 from repro.core import local_context, td_dccs
+from repro.core.top_down import level_s_descendant, removable
 
 from .util import brute_force_dcc, brute_force_max_k_cover, id_candidates, random_mlg
 
@@ -81,3 +82,29 @@ def test_td_vs_bu_cover_comparable(seed):
     if bu.cov_size and td.cov_size:
         assert td.cov_size >= bu.cov_size / 4
         assert bu.cov_size >= td.cov_size / 4
+
+
+def td_tree(L_pos, l):
+    """Node ``L_pos`` and every node below it in the TD search tree (Fig. 8)."""
+    yield L_pos
+    for j in removable(L_pos, l):
+        yield from td_tree(L_pos - {j}, l)
+
+
+@pytest.mark.parametrize("l", range(3, 8))
+def test_level_s_descendant_is_reachable(l):
+    """Lemma 7's descendant is a level-s node below ``L'`` whenever one exists,
+    also for ``|L'| >= s + 2``; at ``|L'| = s + 1`` it is ``L'`` without its
+    largest removable position."""
+    deep = 0
+    for s in range(1, l):
+        for L_pos in set(td_tree(frozenset(range(1, l + 1)), l)):
+            if len(L_pos) <= s:
+                continue
+            below = {S for S in td_tree(L_pos, l) if len(S) == s}
+            S = level_s_descendant(L_pos, l, s)
+            assert (S in below) if below else S is None
+            if len(L_pos) == s + 1 and below:
+                assert S == L_pos - {max(removable(L_pos, l))}
+            deep += S is not None and len(L_pos) >= s + 2
+    assert deep

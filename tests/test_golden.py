@@ -1,17 +1,27 @@
-"""Golden replay: stored rows of Figs. 15/17, 18–21, 22–25 and 28, recomputed on the local engine.
+"""Golden replay: stored rows of Figs. 15/17, 18–21, 22–25, 28, 29 and 30, recomputed on the local engine.
 
 Each row's ``cov`` and ``dcc_calls`` come from its ``results/`` table. Its
 candidate count and a hash of its entries come from ``golden_entries.json``
 beside this file; ``python -m tests.test_golden`` rewrites that file from
-the current program.
+the current program. The ppi-lite rows of the MiMAG comparison (Figs. 29
+and 30) are recomputed whole and must equal the stored ones in every field
+but ``seconds``.
 """
+import functools
 import hashlib
 import json
 import os
 
 import pytest
 
-from repro.harness import ABLATION_VARIANTS, RESULTS_DIR, get_context, run_algorithm
+from repro.harness import (
+    ABLATION_VARIANTS,
+    RESULTS_DIR,
+    containment_distribution,
+    get_context,
+    mimag_comparison,
+    run_algorithm,
+)
 
 
 def _rows(name):
@@ -92,6 +102,40 @@ def test_replay_k(row):
 def test_replay_preprocessing_ablation(row):
     """The Fig. 28 variants: No-VD contexts and the BU/TD search flags."""
     _replay(row)
+
+
+MIMAG_ROWS = [r for r in _rows("fig29_mimag") if r["dataset"] == "ppi-lite"]
+CONTAINMENT_ROWS = [r for r in _rows("fig30_containment") if r["dataset"] == "ppi-lite"]
+
+
+@functools.lru_cache(maxsize=None)
+def _mimag_table(name):
+    """The ppi-lite rows of Fig. 29 or Fig. 30, computed once per session."""
+    if name == "fig29_mimag":
+        return mimag_comparison(datasets=("ppi-lite",), d_values=sorted({r["d"] for r in MIMAG_ROWS}))
+    return containment_distribution(datasets=("ppi-lite",), q_sizes=[r["|Q|"] for r in CONTAINMENT_ROWS])
+
+
+def _without_seconds(row):
+    return {c: v for c, v in row.items() if c != "seconds"}
+
+
+@pytest.mark.parametrize(
+    "row", MIMAG_ROWS, ids=[f"{r['algorithm']}-d{r['d']}" for r in MIMAG_ROWS]
+)
+def test_replay_mimag_comparison(row):
+    """Fig. 29 on ppi-lite: MiMAG and BU-DCCS at d = 2..4, every field but ``seconds``."""
+    by = {(r["d"], r["algorithm"]): r for r in _mimag_table("fig29_mimag")}
+    assert _without_seconds(by[(row["d"], row["algorithm"])]) == _without_seconds(row)
+
+
+@pytest.mark.parametrize(
+    "row", CONTAINMENT_ROWS, ids=[f"Q{r['|Q|']}" for r in CONTAINMENT_ROWS]
+)
+def test_replay_containment(row):
+    """Fig. 30 on ppi-lite: the overlap distribution at d = 3, |Q| = 3..5."""
+    by = {r["|Q|"]: r for r in _mimag_table("fig30_containment")}
+    assert by[row["|Q|"]] == row
 
 
 if __name__ == "__main__":

@@ -17,15 +17,24 @@ as MiMAG's best-first variant. Consequences for the comparison (emitted
 clusters are always *true* quasi-cliques; only recall can suffer) are
 documented in DESIGN.md §4. Diversified output follows MiMAG: clusters
 ranked by quality, redundancy-filtered by overlap.
+
+The miner runs on the local engine's :class:`~repro.core.peel.PeelGraph`,
+in its dense indices. Each run first reads the CSR into one Python-int
+neighbour bitset per ``(layer, vertex)``, so a degree inside ``Q`` is the
+popcount of a bitset masked by ``Q``. Dense indices ascend with the ids,
+so seed order, candidate order and tie-breaks are those of the ids;
+clusters come back as id sets.
 """
 from __future__ import annotations
 
 import math
 import time
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Set, Tuple
+from functools import reduce
+from operator import or_
+from typing import Dict, FrozenSet, Iterable, List, Sequence, Set, Tuple
 
-from ..pyref.local_graph import LocalMLGraph
+from ..core.peel import PeelGraph
 
 #: Fraction of γ that a partial set must reach on a layer for that layer to
 #: keep counting toward the (relaxed) support during expansion.
@@ -35,18 +44,25 @@ RELAX = 0.75
 REDUNDANCY = 0.25
 
 
-def quasi_clique_layers(
-    g: LocalMLGraph, Q: Set[int], gamma: float
-) -> FrozenSet[int]:
-    """Exact support: layers on which ``Q`` is a γ-quasi-clique."""
-    if len(Q) < 2:
-        return frozenset(g.layers)
+def _layer_bits(g: PeelGraph) -> List[List[int]]:
+    """``bits[i - 1][v]``: the dense neighbours of ``v`` on layer ``i`` as an int bitset."""
+    nbr, ptr = g.nbr.tolist(), g.indptr.tolist()
+    rows = [sum(1 << u for u in nbr[ptr[r] : ptr[r + 1]]) for r in range(g.n_layers * g.n)]
+    return [rows[i * g.n : (i + 1) * g.n] for i in range(g.n_layers)]
+
+
+def _support(bits: List[List[int]], Q: Sequence[int], gamma: float) -> FrozenSet[int]:
+    """Layers (1-based) on which the dense set ``Q`` is a γ-quasi-clique."""
     need = math.ceil(gamma * (len(Q) - 1))
-    out = []
-    for i in g.layers:
-        if all(g.degree(i, v, within=Q) >= need for v in Q):
-            out.append(i)
-    return frozenset(out)
+    mask = sum(1 << v for v in Q)
+    return frozenset(
+        i for i, row in enumerate(bits, 1) if all((row[v] & mask).bit_count() >= need for v in Q)
+    )
+
+
+def quasi_clique_layers(g: PeelGraph, Q: Iterable[int], gamma: float) -> FrozenSet[int]:
+    """Exact support: layers on which ``Q``, a set of vertex ids of ``g``, is a γ-quasi-clique."""
+    return _support(_layer_bits(g), g.index(Q).tolist(), gamma)
 
 
 @dataclass
@@ -79,13 +95,8 @@ class MiMAGResult:
         return frozenset(out)
 
 
-def _relaxed_support(g: LocalMLGraph, Q: Set[int], gamma: float) -> int:
-    """Layers where ``Q`` is a (RELAX·γ)-quasi-clique — expansion frontier."""
-    return len(quasi_clique_layers(g, Q, RELAX * gamma))
-
-
 def mine_quasi_cliques(
-    g: LocalMLGraph,
+    g: PeelGraph,
     *,
     gamma: float,
     min_size: int,
@@ -95,16 +106,12 @@ def mine_quasi_cliques(
 ) -> MiMAGResult:
     """Enumerate γ-quasi-cliques recurring on >= ``s`` layers (bounded BnB)."""
     t0 = time.perf_counter()
-    union_adj: Dict[int, Set[int]] = {}
-    for i in g.layers:
-        for v, nbrs in g.adj.get(i, {}).items():
-            union_adj.setdefault(v, set()).update(nbrs)
-    verts = sorted(g.vertices)
+    bits = _layer_bits(g)
     found: Dict[FrozenSet[int], FrozenSet[int]] = {}
     nodes = 0
     exhausted = False
 
-    def extend(Q: Set[int], cand: List[int]) -> None:
+    def extend(Q: List[int], cand: List[int]) -> None:
         nonlocal nodes, exhausted
         if exhausted:
             return
@@ -113,34 +120,30 @@ def mine_quasi_cliques(
             exhausted = True
             return
         if len(Q) >= min_size:
-            X = quasi_clique_layers(g, Q, gamma)
+            X = _support(bits, Q, gamma)
             if len(X) >= s:
                 found[frozenset(Q)] = X
         if max_size is not None and len(Q) >= max_size:
             return
         for idx, u in enumerate(cand):
-            Q.add(u)
-            if _relaxed_support(g, Q, gamma) >= s:
-                new_cand = [
-                    w
-                    for w in cand[idx + 1 :]
-                    if w in union_adj.get(u, ()) or any(w in union_adj.get(q, ()) for q in Q)
-                ]
-                extend(Q, new_cand)
-            Q.discard(u)
+            Q.append(u)
+            if len(_support(bits, Q, RELAX * gamma)) >= s:
+                extend(Q, cand[idx + 1 :])
+            Q.pop()
             if exhausted:
                 return
 
-    for v in verts:
-        # γ >= 0.5 quasi-cliques are connected, so seed-anchored expansion
-        # over union-graph neighbours with larger ids covers each Q from
-        # its minimum vertex.
-        cand = sorted(u for u in union_adj.get(v, ()) if u > v)
-        extend({v}, cand)
+    for v in range(g.n):
+        # Each Q grows from its smallest vertex v through v's union-graph
+        # neighbours with larger ids, so every member of Q is a neighbour
+        # of v. A quasi-clique with a member not adjacent to its smallest
+        # vertex (γ >= 0.5 only bounds the diameter by 2) is not found.
+        near = reduce(or_, (row[v] for row in bits), 0)
+        extend([v], [u for u in range(v + 1, g.n) if near >> u & 1])
         if exhausted:
             break
 
-    clusters = [Cluster(q, x) for q, x in found.items()]
+    clusters = [Cluster(g.vertex_set(list(q)), x) for q, x in found.items()]
     clusters.sort(key=lambda c: (-c.quality[0], -c.quality[1], sorted(c.vertices)))
     # Drop non-maximal quasi-cliques (subset of an equally-supported larger one).
     maximal: List[Cluster] = []
@@ -175,7 +178,7 @@ def diversify(result: MiMAGResult) -> MiMAGResult:
 
 
 def mimag(
-    g: LocalMLGraph,
+    g: PeelGraph,
     *,
     gamma: float,
     min_size: int,

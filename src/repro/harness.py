@@ -33,7 +33,6 @@ from .core.peel import PeelGraph
 from .core.result import DCCSResult, make_result
 from .core.top_down import td_dccs
 from .datasets import SPECS, load_local, load_spark
-from .pyref.local_graph import LocalMLGraph
 from .synth_data import PlantedCommunity
 
 RESULTS_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.dirname(__file__))), "results")
@@ -341,7 +340,6 @@ def mimag_comparison(
     rows = []
     for name in datasets:
         g, _ = get_local(name)
-        g = LocalMLGraph.from_edges(g.edges(), n_layers=g.n_layers, vertices=g.vertices)
         truth = ground_truth_complexes(name)
         s = SPECS[name].l // 2
         for d in d_values:
@@ -387,7 +385,6 @@ def containment_distribution(
     rows = []
     for name in datasets:
         g, _ = get_local(name)
-        g = LocalMLGraph.from_edges(g.edges(), n_layers=g.n_layers, vertices=g.vertices)
         s = SPECS[name].l // 2
         ctx = get_context(name, d, s)
         bu = run_algorithm("BU-DCCS", ctx, k)

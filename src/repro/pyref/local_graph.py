@@ -1,11 +1,12 @@
 """Driver-local multi-layer graph.
 
-This is the set-based substrate used (a) as the executable specification
-that the driver array peel and the distributed DataFrame operators are
-tested against and (b) as the input of the MiMAG baseline
-(:mod:`repro.baseline.mimag`). Neither engine runs on it: the local engine
-peels the arrays of :class:`~repro.core.peel.PeelGraph`, built from the edge
-frame, and converts a graph of this class (a test's toy graph) first.
+This is the set-based substrate used as the executable specification that
+the driver array peel, the distributed DataFrame operators and the MiMAG
+baseline's bitset predicate are tested against. No engine or table runs
+on it: the local engine and the MiMAG baseline (:mod:`repro.baseline.mimag`)
+read the arrays of :class:`~repro.core.peel.PeelGraph`, built from the edge
+frame, and ``local_context`` converts a graph of this class (a test's toy
+graph) first.
 
 Layers are numbered ``1..l`` as in the paper. Edges are undirected and
 simple; self-loops are dropped on construction.

@@ -1,5 +1,6 @@
-"""Source hygiene: no module imports a name it never uses, and no function
-in ``src/`` or ``jobs/`` takes a parameter it never reads.
+"""Source hygiene: no module imports a name it never uses, no function
+in ``src/`` or ``jobs/`` takes a parameter it never reads, and the harness
+and the baselines import nothing from the set-based reference ``repro.pyref``.
 
 Stdlib ``ast`` scans stand in for a linter's unused-import and unused-argument
 rules. A name counts as used when the module reads it anywhere or lists it in
@@ -95,3 +96,46 @@ def test_scan_flags_an_unused_parameter():
 def test_no_unused_parameters(top):
     found = [hit for path in sorted((ROOT / top).rglob("*.py")) for hit in unused_parameters(path)]
     assert not found, "parameters never read:\n" + "\n".join(found)
+
+
+
+def _imported_modules(tree: ast.Module, package: list):
+    """``(module, line)`` of every import of a module in ``package``
+    (e.g. ``["repro", "baseline"]``), relative imports made absolute."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for a in node.names:
+                yield a.name, node.lineno
+        elif isinstance(node, ast.ImportFrom):
+            base = package[: len(package) - node.level + 1] if node.level else []
+            if node.module:
+                yield ".".join(base + [node.module]), node.lineno
+            else:
+                for a in node.names:
+                    yield ".".join(base + [a.name]), node.lineno
+
+
+def _pyref(modules):
+    return [(m, line) for m, line in modules if m == "repro.pyref" or m.startswith("repro.pyref.")]
+
+
+def pyref_imports(path: Path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    package = list(path.relative_to(ROOT / "src").parent.parts)
+    return [f"{path.relative_to(ROOT)}:{line}: {m}" for m, line in _pyref(_imported_modules(tree, package))]
+
+
+def test_scan_resolves_relative_imports():
+    """Both relative forms resolve to ``repro.pyref``; a longer name does not."""
+    tree = ast.parse("from .. import pyref\nfrom ..pyref.kernels import dcc\nimport repro.pyrefx\n")
+    modules = list(_imported_modules(tree, ["repro", "baseline"]))
+    assert [m for m, _ in modules] == ["repro.pyref", "repro.pyref.kernels", "repro.pyrefx"]
+    assert _pyref(modules) == [("repro.pyref", 1), ("repro.pyref.kernels", 2)]
+
+
+def test_harness_and_baselines_do_not_import_pyref():
+    """``LocalMLGraph`` and the set kernels are the tests' oracle; the
+    table harness and the MiMAG baseline run on the local engine's arrays."""
+    paths = [ROOT / "src/repro/harness.py", *sorted((ROOT / "src/repro/baseline").rglob("*.py"))]
+    found = [hit for path in paths for hit in pyref_imports(path)]
+    assert not found, "imports of repro.pyref:\n" + "\n".join(found)

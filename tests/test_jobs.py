@@ -12,7 +12,8 @@ import pytest
 from repro import harness
 from repro.harness import RESULTS_DIR, TABLES
 
-sys.path.insert(0, "jobs")
+JOBS_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "jobs")
+sys.path.insert(0, JOBS_DIR)
 import run_table  # noqa: E402
 
 # Per table: reduced overrides for its function, and the rows they give.
@@ -163,7 +164,7 @@ def test_run_dccs_cli_rejects_extra_arguments():
     """A seventh argument prints the usage line and exits 2 before any session starts."""
     import subprocess
 
-    script = os.path.join(os.path.dirname(os.path.dirname(__file__)), "jobs", "run_dccs.py")
+    script = os.path.join(JOBS_DIR, "run_dccs.py")
     args = ["ppi-lite", "BU-DCCS", "2", "2", "2", "hybrid", "extra"]
     done = subprocess.run([sys.executable, script, *args], capture_output=True, text=True)
     assert done.returncode == 2

@@ -3,9 +3,9 @@
 Each row's ``cov`` and ``dcc_calls`` come from its ``results/`` table. Its
 candidate count and a hash of its entries come from ``golden_entries.json``
 beside this file; ``python -m tests.test_golden`` rewrites that file from
-the current program. The ppi-lite rows of the MiMAG comparison (Figs. 29
-and 30) are recomputed whole and must equal the stored ones in every field
-but ``seconds``.
+the current program. The MiMAG comparison (Figs. 29 and 30) is recomputed
+whole, on ppi-lite and author-lite, and must equal the stored rows in every
+field but ``seconds``.
 """
 import functools
 import hashlib
@@ -104,16 +104,24 @@ def test_replay_preprocessing_ablation(row):
     _replay(row)
 
 
-MIMAG_ROWS = [r for r in _rows("fig29_mimag") if r["dataset"] == "ppi-lite"]
-CONTAINMENT_ROWS = [r for r in _rows("fig30_containment") if r["dataset"] == "ppi-lite"]
+MIMAG_DATASETS = ("ppi-lite", "author-lite")
+MIMAG_ROWS = [r for r in _rows("fig29_mimag") if r["dataset"] in MIMAG_DATASETS]
+CONTAINMENT_ROWS = [r for r in _rows("fig30_containment") if r["dataset"] in MIMAG_DATASETS]
+
+
+def _mimag_id(row, head):
+    """Test id ``head``, suffixed with the dataset for rows past ppi-lite."""
+    return head if row["dataset"] == "ppi-lite" else f"{head}-{row['dataset']}"
 
 
 @functools.lru_cache(maxsize=None)
 def _mimag_table(name):
-    """The ppi-lite rows of Fig. 29 or Fig. 30, computed once per session."""
+    """The replayed rows of Fig. 29 or Fig. 30, computed once per session."""
     if name == "fig29_mimag":
-        return mimag_comparison(datasets=("ppi-lite",), d_values=sorted({r["d"] for r in MIMAG_ROWS}))
-    return containment_distribution(datasets=("ppi-lite",), q_sizes=[r["|Q|"] for r in CONTAINMENT_ROWS])
+        return mimag_comparison(datasets=MIMAG_DATASETS, d_values=sorted({r["d"] for r in MIMAG_ROWS}))
+    return containment_distribution(
+        datasets=MIMAG_DATASETS, q_sizes=sorted({r["|Q|"] for r in CONTAINMENT_ROWS})
+    )
 
 
 def _without_seconds(row):
@@ -121,21 +129,21 @@ def _without_seconds(row):
 
 
 @pytest.mark.parametrize(
-    "row", MIMAG_ROWS, ids=[f"{r['algorithm']}-d{r['d']}" for r in MIMAG_ROWS]
+    "row", MIMAG_ROWS, ids=[_mimag_id(r, f"{r['algorithm']}-d{r['d']}") for r in MIMAG_ROWS]
 )
 def test_replay_mimag_comparison(row):
-    """Fig. 29 on ppi-lite: MiMAG and BU-DCCS at d = 2..4, every field but ``seconds``."""
-    by = {(r["d"], r["algorithm"]): r for r in _mimag_table("fig29_mimag")}
-    assert _without_seconds(by[(row["d"], row["algorithm"])]) == _without_seconds(row)
+    """Fig. 29: MiMAG and BU-DCCS at d = 2..4, every field but ``seconds``."""
+    by = {(r["dataset"], r["d"], r["algorithm"]): r for r in _mimag_table("fig29_mimag")}
+    assert _without_seconds(by[(row["dataset"], row["d"], row["algorithm"])]) == _without_seconds(row)
 
 
 @pytest.mark.parametrize(
-    "row", CONTAINMENT_ROWS, ids=[f"Q{r['|Q|']}" for r in CONTAINMENT_ROWS]
+    "row", CONTAINMENT_ROWS, ids=[_mimag_id(r, f"Q{r['|Q|']}") for r in CONTAINMENT_ROWS]
 )
 def test_replay_containment(row):
-    """Fig. 30 on ppi-lite: the overlap distribution at d = 3, |Q| = 3..5."""
-    by = {r["|Q|"]: r for r in _mimag_table("fig30_containment")}
-    assert by[row["|Q|"]] == row
+    """Fig. 30: the overlap distribution at d = 3, |Q| = 3..5."""
+    by = {(r["dataset"], r["|Q|"]): r for r in _mimag_table("fig30_containment")}
+    assert by[(row["dataset"], row["|Q|"])] == row
 
 
 if __name__ == "__main__":

@@ -1,14 +1,14 @@
-"""Fig. 12 benchmark: distributed dataset-statistics computation."""
+"""Fig. 12 benchmark: dataset statistics from the driver-local arrays."""
 import pytest
 
 from . import time_table
 
 
 @pytest.mark.benchmark(group="fig12")
-def test_fig12_dataset_stats(benchmark, spark):
+def test_fig12_dataset_stats(benchmark):
     from repro.datasets import SPECS
 
-    rows = time_table(benchmark, "fig12_datasets", spark=spark)
+    rows = time_table(benchmark, "fig12_datasets")
     assert len(rows) == len(SPECS)
     for r in rows:
         assert r["l"] == SPECS[r["dataset"]].l  # layer counts match the paper

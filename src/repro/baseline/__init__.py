@@ -1,11 +1,10 @@
 """Baselines the paper compares against (MiMAG-lite quasi-clique miner)."""
-from .mimag import Cluster, MiMAGResult, diversify, mimag, mine_quasi_cliques, quasi_clique_layers
+from .mimag import Cluster, MiMAGResult, diversify, mine_quasi_cliques, quasi_clique_layers
 
 __all__ = [
     "Cluster",
     "MiMAGResult",
     "diversify",
-    "mimag",
     "mine_quasi_cliques",
     "quasi_clique_layers",
 ]

@@ -16,7 +16,10 @@ cluster, under a search-node budget — an anytime miner in the same spirit
 as MiMAG's best-first variant. Consequences for the comparison (emitted
 clusters are always *true* quasi-cliques; only recall can suffer) are
 documented in DESIGN.md §4. Diversified output follows MiMAG: clusters
-ranked by quality, redundancy-filtered by overlap.
+ranked by quality, redundancy-filtered by overlap. :func:`mine_quasi_cliques`
+returns every maximal cluster, ranked; :func:`diversify` selects from any
+ranked list of them. ``min_size`` only filters what a mining records, so
+one mining at the smallest size serves every larger one (Fig. 29).
 
 The miner runs on the local engine's :class:`~repro.core.peel.PeelGraph`,
 in its dense indices. Each run first reads the CSR into one Python-int
@@ -78,21 +81,14 @@ class Cluster:
         return (len(self.vertices), len(self.layers))
 
 
-@dataclass
+@dataclass(frozen=True)
 class MiMAGResult:
-    """Full output of a MiMAG-lite run."""
+    """Full output of a MiMAG-lite mining run."""
 
-    clusters: List[Cluster]  # diversified output R_Q
-    all_quasi_cliques: List[Cluster]  # every verified (Q, X) found
+    all_quasi_cliques: List[Cluster]  # every verified maximal (Q, X) found, best first
     seconds: float
     nodes_explored: int
     budget_exhausted: bool
-
-    def cover(self) -> FrozenSet[int]:
-        out: Set[int] = set()
-        for c in self.clusters:
-            out |= c.vertices
-        return frozenset(out)
 
 
 def mine_quasi_cliques(
@@ -153,7 +149,6 @@ def mine_quasi_cliques(
         ):
             maximal.append(c)
     return MiMAGResult(
-        clusters=[],
         all_quasi_cliques=maximal,
         seconds=time.perf_counter() - t0,
         nodes_explored=nodes,
@@ -161,32 +156,13 @@ def mine_quasi_cliques(
     )
 
 
-def diversify(result: MiMAGResult) -> MiMAGResult:
-    """MiMAG's redundancy-filtered output: greedily keep the best clusters
-    whose overlap with already-kept vertices is at most ``REDUNDANCY``."""
+def diversify(clusters: Sequence[Cluster]) -> List[Cluster]:
+    """MiMAG's redundancy-filtered output R_Q: greedily keep the best of
+    ``clusters`` whose overlap with already-kept vertices is at most ``REDUNDANCY``."""
     kept: List[Cluster] = []
     covered: Set[int] = set()
-    for c in result.all_quasi_cliques:
-        if not c.vertices:
-            continue
-        overlap = len(c.vertices & covered) / len(c.vertices)
-        if overlap <= REDUNDANCY:
+    for c in clusters:
+        if len(c.vertices & covered) / len(c.vertices) <= REDUNDANCY:
             kept.append(c)
             covered |= c.vertices
-    result.clusters = kept
-    return result
-
-
-def mimag(
-    g: PeelGraph,
-    *,
-    gamma: float,
-    min_size: int,
-    s: int,
-    node_budget: int = 200_000,
-    max_size: int | None = None,
-) -> MiMAGResult:
-    """Mine + diversify: the full MiMAG-lite pipeline (its seconds are the mining's)."""
-    return diversify(
-        mine_quasi_cliques(g, gamma=gamma, min_size=min_size, s=s, node_budget=node_budget, max_size=max_size)
-    )
+    return kept

@@ -99,16 +99,7 @@ class MultiLayerGraph:
             .agg(F.count("*").alias("degree"))
         )
 
-    # -- stats / export --------------------------------------------------
-
-    def stats(self) -> dict:
-        """Fig.-12-style statistics: |V|, sum_i |E_i|, |union_i E_i|, l."""
-        return {
-            "n_vertices": self.vertices.count(),
-            "sum_edges": self.edges.count(),
-            "union_edges": self.edges.select("src", "dst").distinct().count(),
-            "n_layers": self.n_layers,
-        }
+    # -- export ----------------------------------------------------------
 
     def to_local(self) -> LocalMLGraph:
         """Collect to a driver-local graph."""

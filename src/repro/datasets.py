@@ -10,7 +10,7 @@ per-layer average degree. Planted communities double as the ground-truth
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 import pandas as pd
@@ -68,6 +68,13 @@ SPECS: Dict[str, DatasetSpec] = {
 }
 
 
+#: Seed of the ground-truth complexes drawn from the planted communities (Fig. 29).
+COMPLEX_SEED = 99
+
+#: Seed of the vertex and layer samples of the scalability knobs (Figs. 26–27).
+SUBSAMPLE_SEED = 7
+
+
 def generate(name: str) -> Tuple[pd.DataFrame, List[PlantedCommunity], DatasetSpec]:
     """Deterministically generate a named dataset's edges + ground truth."""
     spec = SPECS[name]
@@ -101,17 +108,18 @@ def load_spark(spark, name: str):
     return g, comms
 
 
-def ground_truth_complexes(name: str, *, seed: int = 99) -> List[frozenset]:
+def ground_truth_complexes(comms: Sequence[PlantedCommunity]) -> List[frozenset]:
     """Small ground-truth "protein complexes" for the Fig. 29 Proportion metric.
 
     The paper checks containment of MIPS complexes, which are small
     (typically 3–6 proteins) subsets of larger functional modules. We
-    mirror that: each planted community contributes one complex — a random
-    subset of 3–6 of its members. A complex counts as *found* iff it is
-    entirely contained in one output dense subgraph.
+    mirror that: each planted community of ``comms`` (a dataset's, as
+    :func:`load_local` returns them) contributes one complex — a random
+    subset of 3–6 of its members, drawn with :data:`COMPLEX_SEED`. A
+    complex counts as *found* iff it is entirely contained in one output
+    dense subgraph.
     """
-    _, comms, _ = generate(name)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(COMPLEX_SEED)
     out: List[frozenset] = []
     for c in comms:
         members = sorted(c.vertices)
@@ -123,22 +131,18 @@ def ground_truth_complexes(name: str, *, seed: int = 99) -> List[frozenset]:
     return out
 
 
-def subsample_vertices(
-    pdf: pd.DataFrame, spec: DatasetSpec, p: float, *, seed: int = 7
-) -> Tuple[pd.DataFrame, List[int]]:
+def subsample_vertices(pdf: pd.DataFrame, spec: DatasetSpec, p: float) -> Tuple[pd.DataFrame, List[int]]:
     """Scalability knob ``p``: induced subgraph on a random vertex fraction."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(SUBSAMPLE_SEED)
     keep = 1 + rng.choice(spec.n, size=max(1, int(spec.n * p)), replace=False)
     keep_set = set(int(v) for v in keep)
     mask = pdf["src"].isin(keep_set) & pdf["dst"].isin(keep_set)
     return pdf[mask].reset_index(drop=True), sorted(keep_set)
 
 
-def subsample_layers(
-    pdf: pd.DataFrame, spec: DatasetSpec, q: float, *, seed: int = 7
-) -> Tuple[pd.DataFrame, int]:
+def subsample_layers(pdf: pd.DataFrame, spec: DatasetSpec, q: float) -> Tuple[pd.DataFrame, int]:
     """Scalability knob ``q``: keep a random fraction of layers, renumbered 1..l'."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(SUBSAMPLE_SEED)
     n_keep = max(1, int(spec.l * q))
     keep = sorted(1 + rng.choice(spec.l, size=n_keep, replace=False))
     remap = {old: new for new, old in enumerate(keep, start=1)}

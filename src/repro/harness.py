@@ -8,12 +8,14 @@ a table; ``jobs/run_table.py <name>`` (spark-submit) and ``benchmarks/``
 with that one writer. EXPERIMENTS.md quotes the saved rows.
 
 Each table runs one fixed way and varies only its parameter grid.
-Fig. 12 (dataset statistics) and Figs. 26–27 (scalability) run on Spark,
-whose loading and preprocessing they measure. Every other table runs on the
-driver-local engine, so a full sweep stays in seconds; the GD/BU/TD
-comparison is engine-independent, which the test suite asserts. The
-budgets past which a run is a DNF row are the module constants
-:data:`DEFAULT_BUDGET` and :data:`DEFAULT_TIME_BUDGET`.
+Figs. 26–27 (scalability) run on Spark, whose loading and preprocessing
+they measure. Every other table reads the driver-local arrays
+:func:`get_local` builds once per dataset, so a full sweep stays in
+seconds: Fig. 12 counts its statistics there, Figs. 29–30 mine MiMAG there
+and take their ground truth from its communities, and the searches run on
+the local engine. The GD/BU/TD comparison is engine-independent, which the
+test suite asserts. The budgets past which a run is a DNF row are the
+module constants :data:`DEFAULT_BUDGET` and :data:`DEFAULT_TIME_BUDGET`.
 """
 from __future__ import annotations
 
@@ -24,15 +26,17 @@ import sys
 import time
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from . import config
-from .baseline.mimag import mimag
+from .baseline.mimag import diversify, mine_quasi_cliques
 from .core.bottom_up import bu_dccs
 from .core.engine import CallBudgetExceeded, DCCSContext, local_context, spark_context
 from .core.greedy import gd_dccs
 from .core.peel import PeelGraph
 from .core.result import DCCSResult, make_result
 from .core.top_down import td_dccs
-from .datasets import SPECS, load_local, load_spark
+from .datasets import SPECS, ground_truth_complexes, load_local
 from .synth_data import PlantedCommunity
 
 RESULTS_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.dirname(__file__))), "results")
@@ -287,21 +291,23 @@ def sweep_preprocessing_ablation(
 # ---------------------------------------------------------------------------
 
 
-def dataset_stats(*, spark, datasets: Optional[Sequence[str]] = None) -> List[Dict]:
-    """Fig. 12: |V|, Σ|Ei|, |∪Ei| and l of each synthetic stand-in, on Spark."""
+def dataset_stats(*, datasets: Optional[Sequence[str]] = None) -> List[Dict]:
+    """Fig. 12: |V|, Σ|Ei|, |∪Ei| and l of each synthetic stand-in, from its driver arrays."""
     rows = []
     for name in datasets or list(SPECS):
-        g, _ = load_spark(spark, name)
-        st = g.stats()
+        g, _ = get_local(name)
+        # Each edge is two CSR entries; the one from its smaller end keys the union.
+        src = np.repeat(np.arange(g.n_layers * g.n) % g.n, np.diff(g.indptr))
+        fwd = src < g.nbr
         spec = SPECS[name]
         rows.append(
             {
                 "dataset": name,
                 "paper_dataset": spec.paper_name,
-                "V": st["n_vertices"],
-                "sum_E": st["sum_edges"],
-                "union_E": st["union_edges"],
-                "l": st["n_layers"],
+                "V": g.n,
+                "sum_E": int(fwd.sum()),
+                "union_E": len(np.unique(src[fwd] * g.n + g.nbr[fwd])),
+                "l": g.n_layers,
                 "paper_V": spec.paper_stats[0],
                 "paper_sum_E": spec.paper_stats[1],
                 "paper_union_E": spec.paper_stats[2],
@@ -332,27 +338,32 @@ def mimag_comparison(
 
     Per the paper: ``s = l/2`` for both, MiMAG min size ``d' = d + 1`` so
     the per-vertex degree constraints coincide (``⌈γ d⌉ = d`` at γ=0.8).
-    Proportion = fraction of ground-truth communities entirely contained
-    in some output dense subgraph (MIPS complexes → planted communities).
+    The min size only filters what a mining records, so each dataset is
+    mined once at the smallest ``d'``; each ``d`` keeps the quasi-cliques
+    of size ``> d`` and diversifies them, and its MiMAG row reports the one
+    mining's seconds. Proportion = fraction of ground-truth communities
+    entirely contained in some output dense subgraph (MIPS complexes →
+    planted communities).
     """
-    from .datasets import ground_truth_complexes
-
     rows = []
     for name in datasets:
-        g, _ = get_local(name)
-        truth = ground_truth_complexes(name)
+        g, comms = get_local(name)
+        truth = ground_truth_complexes(comms)
         s = SPECS[name].l // 2
+        mined = mine_quasi_cliques(
+            g, gamma=MIMAG_GAMMA, min_size=min(d_values) + 1, s=s, node_budget=MIMAG_NODE_BUDGET
+        )
         for d in d_values:
             bu = run_algorithm("BU-DCCS", get_context(name, d, s), k)
-            mg = mimag(g, gamma=MIMAG_GAMMA, min_size=d + 1, s=s, node_budget=MIMAG_NODE_BUDGET)
-            cov_c, cov_q = bu.cover, mg.cover()
+            clusters = diversify([c for c in mined.all_quasi_cliques if len(c.vertices) > d])
+            cov_c, cov_q = bu.cover, frozenset().union(*(c.vertices for c in clusters))
             inter = len(cov_c & cov_q)
             precision = inter / len(cov_c) if cov_c else 0.0
             recall = inter / len(cov_q) if cov_q else 0.0
             f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
             scores = {"precision": round(precision, 3), "recall": round(recall, 3), "f1": round(f1, 3)}
             for algo, seconds, cov, found in (
-                ("MiMAG", mg.seconds, cov_q, [c.vertices for c in mg.clusters]),
+                ("MiMAG", mined.seconds, cov_q, [c.vertices for c in clusters]),
                 ("BU-DCCS", bu.seconds, cov_c, [C for _, C in bu.entries]),
             ):
                 rows.append(
@@ -389,7 +400,7 @@ def containment_distribution(
         ctx = get_context(name, d, s)
         bu = run_algorithm("BU-DCCS", ctx, k)
         cov_c = bu.cover
-        mg = mimag(
+        mined = mine_quasi_cliques(
             g,
             gamma=MIMAG_GAMMA,
             min_size=min(q_sizes),
@@ -398,7 +409,7 @@ def containment_distribution(
             max_size=max(q_sizes),
         )
         for qs in q_sizes:
-            qcs = [c for c in mg.all_quasi_cliques if len(c.vertices) == qs]
+            qcs = [c for c in mined.all_quasi_cliques if len(c.vertices) == qs]
             counts = {i: 0 for i in range(qs + 1)}
             for c in qcs:
                 counts[len(c.vertices & cov_c)] += 1

@@ -76,9 +76,9 @@ def test_communities_are_dense_on_active_layers(name):
 
 @pytest.mark.parametrize("name", SMALL)
 def test_ground_truth_complexes(name):
-    truth = ground_truth_complexes(name)
     _, comms, _ = generate(name)
-    assert truth == ground_truth_complexes(name)  # deterministic
+    truth = ground_truth_complexes(comms)
+    assert truth == ground_truth_complexes(comms)  # deterministic
     assert truth
     for cx in truth:
         assert 3 <= len(cx) <= 6

@@ -5,7 +5,7 @@ import inspect
 import numpy as np
 import pytest
 
-from repro.baseline import diversify, mimag
+from repro.baseline import diversify, mine_quasi_cliques
 from repro.core import bu_dccs, gd_dccs, local_context, spark_context, td_dccs
 from repro.core.engine import CallBudgetExceeded
 from repro.core.graph import MultiLayerGraph
@@ -102,8 +102,8 @@ SIGNATURES = {
     spark_context: ["g", "d", "s"],
     vertex_deletion: ["g", "d", "s"],
     td_dccs: ["ctx", "k", "*", "sort_layers", "init_result"],
-    mimag: ["g", "*", "gamma", "min_size", "s", "node_budget", "max_size"],
-    diversify: ["result"],
+    mine_quasi_cliques: ["g", "*", "gamma", "min_size", "s", "node_budget", "max_size"],
+    diversify: ["clusters"],
 }
 
 

@@ -1,11 +1,11 @@
-"""Golden replay: stored rows of Figs. 15/17, 18–21, 22–25, 28, 29 and 30, recomputed on the local engine.
+"""Golden replay: stored rows of Figs. 12, 15/17, 18–21, 22–25, 28, 29 and 30, recomputed on the local engine.
 
 Each row's ``cov`` and ``dcc_calls`` come from its ``results/`` table. Its
 candidate count and a hash of its entries come from ``golden_entries.json``
 beside this file; ``python -m tests.test_golden`` rewrites that file from
 the current program. The MiMAG comparison (Figs. 29 and 30) is recomputed
 whole, on ppi-lite and author-lite, and must equal the stored rows in every
-field but ``seconds``.
+field but ``seconds``; the dataset statistics (Fig. 12) in every field.
 """
 import functools
 import hashlib
@@ -18,6 +18,7 @@ from repro.harness import (
     ABLATION_VARIANTS,
     RESULTS_DIR,
     containment_distribution,
+    dataset_stats,
     get_context,
     mimag_comparison,
     run_algorithm,
@@ -102,6 +103,15 @@ def test_replay_k(row):
 def test_replay_preprocessing_ablation(row):
     """The Fig. 28 variants: No-VD contexts and the BU/TD search flags."""
     _replay(row)
+
+
+STATS_ROWS = _rows("fig12_datasets")
+
+
+@pytest.mark.parametrize("row", STATS_ROWS, ids=[r["dataset"] for r in STATS_ROWS])
+def test_replay_dataset_stats(row):
+    """Fig. 12: every field of each dataset's statistics row."""
+    assert dataset_stats(datasets=[row["dataset"]]) == [row]
 
 
 MIMAG_DATASETS = ("ppi-lite", "author-lite")

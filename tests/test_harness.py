@@ -3,8 +3,10 @@ import os
 
 import pytest
 
+from repro import harness
 from repro.harness import (
     containment_distribution,
+    dataset_stats,
     get_context,
     mimag_comparison,
     rows_to_markdown,
@@ -17,6 +19,8 @@ from repro.harness import (
     sweep_s_small,
     sweep_scalability,
 )
+
+from .util import named_local
 
 
 def test_get_context_is_memoized():
@@ -118,6 +122,28 @@ def test_mimag_comparison_rows():
         assert 0 <= r["precision"] <= 1
         assert 0 <= r["recall"] <= 1
         assert 0 <= r["f1"] <= 1
+
+
+def test_mimag_comparison_mines_once_per_dataset(monkeypatch):
+    """Fig. 29 mines each dataset once, at the smallest d + 1, whatever the number of d values."""
+    calls = []
+    mine = harness.mine_quasi_cliques
+    monkeypatch.setattr(harness, "mine_quasi_cliques", lambda g, **kw: calls.append(kw) or mine(g, **kw))
+    mimag_comparison(datasets=("ppi-lite",), d_values=(2, 3, 4))
+    assert [kw["min_size"] for kw in calls] == [3]
+
+
+@pytest.mark.parametrize("name", ["ppi-lite", "author-lite"])
+def test_dataset_stats_match_set_graph(name):
+    """Fig. 12's counts from the driver arrays are the set-based graph's."""
+    g = named_local(name)
+    (row,) = dataset_stats(datasets=[name])
+    assert (row["V"], row["sum_E"], row["union_E"], row["l"]) == (
+        len(g.vertices),
+        sum(g.edge_count(i) for i in g.layers),
+        g.union_edge_count(),
+        g.n_layers,
+    )
 
 
 def test_containment_rows():

@@ -33,7 +33,7 @@ CASES = {
 }
 
 
-def run_case(name, spark):
+def run_case(name, spark=None):
     """Table ``name`` at its reduced overrides; checks the row count."""
     fn, (overrides, n_rows) = TABLES[name], CASES[name]
     rows = fn(spark=spark, **overrides) if run_table.needs_spark(fn) else fn(**overrides)
@@ -43,10 +43,7 @@ def run_case(name, spark):
 
 def test_cases_cover_the_registry():
     assert set(CASES) == set(TABLES)
-    assert {n for n in TABLES if run_table.needs_spark(TABLES[n])} == {
-        "fig12_datasets",
-        "fig26_27_scalability",
-    }
+    assert {n for n in TABLES if run_table.needs_spark(TABLES[n])} == {"fig26_27_scalability"}
 
 
 # The names a table function may take: its grid axes, its datasets and
@@ -66,8 +63,8 @@ def test_tables_take_only_their_grid():
         TABLES["fig14_16_s_small"](engine="hybrid")
 
 
-def test_table_fig12(spark):
-    row = run_case("fig12_datasets", spark)[0]
+def test_table_fig12():
+    row = run_case("fig12_datasets")[0]
     assert (row["V"], row["l"], row["paper_V"]) == (328, 8, 328)
 
 
@@ -98,12 +95,12 @@ def test_ablation_fig28(spark):
     run_case("fig28_preprocessing", spark)
 
 
-def test_table_fig29(spark):
-    run_case("fig29_mimag", spark)
+def test_table_fig29():
+    run_case("fig29_mimag")
 
 
-def test_table_fig30(spark):
-    run_case("fig30_containment", spark)
+def test_table_fig30():
+    run_case("fig30_containment")
 
 
 def test_run_table_writes_its_committed_table(tmp_path, monkeypatch, capsys):

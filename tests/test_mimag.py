@@ -8,7 +8,7 @@ import random
 
 import pytest
 
-from repro.baseline import mimag, mine_quasi_cliques, quasi_clique_layers
+from repro.baseline import diversify, mine_quasi_cliques, quasi_clique_layers
 from repro.baseline.mimag import REDUNDANCY
 from repro.core.peel import PeelGraph
 from repro.pyref.local_graph import LocalMLGraph
@@ -86,14 +86,28 @@ def test_mining_maps_dense_indices_to_ids(seed):
         vertices=(7 * v for v in local.vertices),
     )
     a, b = (
-        mimag(PeelGraph.from_local(h), gamma=0.8, min_size=3, s=1) for h in (local, spread)
+        mine_quasi_cliques(PeelGraph.from_local(h), gamma=0.8, min_size=3, s=1) for h in (local, spread)
     )
-    assert a.all_quasi_cliques and a.clusters
+    kept_a, kept_b = diversify(a.all_quasi_cliques), diversify(b.all_quasi_cliques)
+    assert a.all_quasi_cliques and kept_a
     assert (a.nodes_explored, a.budget_exhausted) == (b.nodes_explored, b.budget_exhausted)
-    for mine, theirs in ((a.all_quasi_cliques, b.all_quasi_cliques), (a.clusters, b.clusters)):
+    for mine, theirs in ((a.all_quasi_cliques, b.all_quasi_cliques), (kept_a, kept_b)):
         assert [(frozenset(7 * v for v in c.vertices), c.layers) for c in mine] == [
             (c.vertices, c.layers) for c in theirs
         ]
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_min_size_only_filters_what_is_recorded(seed):
+    """A mining at min size 3, cut to the clusters of size >= m, is the
+    mining at min size m, after the same search; one mining serves Fig. 29's every d."""
+    g = PeelGraph.from_local(random_mlg(20, 3, 0.25, seed))
+    low = mine_quasi_cliques(g, gamma=0.8, min_size=3, s=1)
+    for m in (4, 5):
+        high = mine_quasi_cliques(g, gamma=0.8, min_size=m, s=1)
+        assert [c for c in low.all_quasi_cliques if len(c.vertices) >= m] == high.all_quasi_cliques
+        assert (low.nodes_explored, low.budget_exhausted) == (high.nodes_explored, high.budget_exhausted)
+        assert m == 5 or high.all_quasi_cliques
 
 
 def test_finds_planted_clique():
@@ -122,9 +136,9 @@ def test_support_threshold_respected():
 
 def test_diversify_redundancy_filter():
     g = clique_graph(8, [1, 2])
-    res = mimag(g, gamma=1.0, min_size=3, s=2)
+    mined = mine_quasi_cliques(g, gamma=1.0, min_size=3, s=2).all_quasi_cliques
     covered = set()
-    for c in res.clusters:
+    for c in diversify(mined):
         assert len(c.vertices & covered) / len(c.vertices) <= REDUNDANCY
         covered |= c.vertices
 
@@ -144,6 +158,6 @@ def test_max_size_cap():
 
 def test_determinism():
     g = PeelGraph.from_local(random_mlg(18, 2, 0.25, 1))
-    r1 = mimag(g, gamma=0.8, min_size=3, s=1)
-    r2 = mimag(g, gamma=0.8, min_size=3, s=1)
-    assert [c.vertices for c in r1.clusters] == [c.vertices for c in r2.clusters]
+    r1, r2 = (mine_quasi_cliques(g, gamma=0.8, min_size=3, s=1) for _ in range(2))
+    assert r1.all_quasi_cliques == r2.all_quasi_cliques
+    assert diversify(r1.all_quasi_cliques) == diversify(r2.all_quasi_cliques)

@@ -1,4 +1,4 @@
-"""Spark MultiLayerGraph: round-trips, views, stats — oracle-checked."""
+"""Spark MultiLayerGraph: round-trips and views — oracle-checked."""
 import numpy as np
 import pandas as pd
 import pytest
@@ -25,14 +25,6 @@ def test_round_trip_preserves_graph(gs, gl):
     back = gs.to_local()
     assert back.vertices == gl.vertices
     assert set(back.edges()) == set(gl.edges())
-
-
-def test_stats_match_local(gs, gl):
-    st = gs.stats()
-    assert st["n_vertices"] == len(gl.vertices)
-    assert st["sum_edges"] == sum(gl.edge_count(i) for i in gl.layers)
-    assert st["union_edges"] == gl.union_edge_count()
-    assert st["n_layers"] == gl.n_layers
 
 
 def test_canonicalize_dedupes_and_orients(spark):

@@ -1,4 +1,4 @@
-"""Golden replay: stored rows of Figs. 12, 15/17, 18–21, 22–25, 28, 29 and 30, recomputed on the local engine.
+"""Golden replay: stored rows of Figs. 12, 14/16, 15/17, 18–21, 22–25, 28, 29 and 30, recomputed on the local engine.
 
 Each row's ``cov`` and ``dcc_calls`` come from its ``results/`` table. Its
 candidate count and a hash of its entries come from ``golden_entries.json``
@@ -31,15 +31,24 @@ def _rows(name):
 
 
 ROWS = [r for r in _rows("fig15_17_s_large") if r["dataset"] in ("author-lite", "german-lite")]
+S_SMALL_ROWS = [
+    r for r in _rows("fig14_16_s_small")
+    if r["dataset"] in ("english-lite", "stack-lite") and r["algorithm"] == "BU-DCCS"
+]
 ABLATION_ROWS = [r for r in _rows("fig28_preprocessing") if r["dataset"] == "english-lite"]
 D_ROWS = [r for r in _rows("fig18_21_d") if r["dataset"] == "german-lite"]
 K_ROWS = [
     r for r in _rows("fig22_25_k")
-    if r["dataset"] == "english-lite" and r["algorithm"] in ("BU-DCCS", "TD-DCCS")
+    if r["dataset"] in ("english-lite", "wiki-lite") and r["algorithm"] in ("BU-DCCS", "TD-DCCS")
 ]
 
 
 GOLDEN_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden_entries.json")
+
+
+def _row_id(row, head, home):
+    """Test id ``head``, suffixed with the dataset for rows not on ``home``."""
+    return head if row["dataset"] == home else f"{head}-{row['dataset']}"
 
 
 def _key(row):
@@ -82,6 +91,14 @@ def test_replay_s_large(row):
 
 
 @pytest.mark.parametrize(
+    "row", S_SMALL_ROWS, ids=[f"{r['dataset']}-s{r['s']}" for r in S_SMALL_ROWS]
+)
+def test_replay_s_small(row):
+    """Figs. 14/16 on english-lite and stack-lite: BU at s = 1..5."""
+    _replay(row)
+
+
+@pytest.mark.parametrize(
     "row", D_ROWS, ids=[f"{r['algorithm']}-d{r['d']}-s{r['s']}" for r in D_ROWS]
 )
 def test_replay_d(row):
@@ -90,10 +107,11 @@ def test_replay_d(row):
 
 
 @pytest.mark.parametrize(
-    "row", K_ROWS, ids=[f"{r['algorithm']}-k{r['k']}-s{r['s']}" for r in K_ROWS]
+    "row", K_ROWS,
+    ids=[_row_id(r, f"{r['algorithm']}-k{r['k']}-s{r['s']}", "english-lite") for r in K_ROWS],
 )
 def test_replay_k(row):
-    """Figs. 22–25 on english-lite: BU at s=3 and TD at s=l−2, k = 5..25."""
+    """Figs. 22–25 on english-lite and wiki-lite: BU at s=3 and TD at s=l−2, k = 5..25."""
     _replay(row)
 
 
@@ -119,11 +137,6 @@ MIMAG_ROWS = [r for r in _rows("fig29_mimag") if r["dataset"] in MIMAG_DATASETS]
 CONTAINMENT_ROWS = [r for r in _rows("fig30_containment") if r["dataset"] in MIMAG_DATASETS]
 
 
-def _mimag_id(row, head):
-    """Test id ``head``, suffixed with the dataset for rows past ppi-lite."""
-    return head if row["dataset"] == "ppi-lite" else f"{head}-{row['dataset']}"
-
-
 @functools.lru_cache(maxsize=None)
 def _mimag_table(name):
     """The replayed rows of Fig. 29 or Fig. 30, computed once per session."""
@@ -139,7 +152,7 @@ def _without_seconds(row):
 
 
 @pytest.mark.parametrize(
-    "row", MIMAG_ROWS, ids=[_mimag_id(r, f"{r['algorithm']}-d{r['d']}") for r in MIMAG_ROWS]
+    "row", MIMAG_ROWS, ids=[_row_id(r, f"{r['algorithm']}-d{r['d']}", "ppi-lite") for r in MIMAG_ROWS]
 )
 def test_replay_mimag_comparison(row):
     """Fig. 29: MiMAG and BU-DCCS at d = 2..4, every field but ``seconds``."""
@@ -148,7 +161,7 @@ def test_replay_mimag_comparison(row):
 
 
 @pytest.mark.parametrize(
-    "row", CONTAINMENT_ROWS, ids=[_mimag_id(r, f"Q{r['|Q|']}") for r in CONTAINMENT_ROWS]
+    "row", CONTAINMENT_ROWS, ids=[_row_id(r, f"Q{r['|Q|']}", "ppi-lite") for r in CONTAINMENT_ROWS]
 )
 def test_replay_containment(row):
     """Fig. 30: the overlap distribution at d = 3, |Q| = 3..5."""
@@ -157,7 +170,7 @@ def test_replay_containment(row):
 
 
 if __name__ == "__main__":
-    golden = {_key(r): _fingerprint(_run(r)) for r in ROWS + D_ROWS + K_ROWS + ABLATION_ROWS}
+    golden = {_key(r): _fingerprint(_run(r)) for r in ROWS + S_SMALL_ROWS + D_ROWS + K_ROWS + ABLATION_ROWS}
     with open(GOLDEN_PATH, "w") as f:
         json.dump(golden, f, indent=1, sort_keys=True)
         f.write("\n")

@@ -40,7 +40,7 @@ def bu_dccs(
     l, s = ctx.n_layers, ctx.s
     actual, core_at = layer_order(ctx, sort_layers, descending=True)
 
-    topk = init_topk(ctx, k) if init_result else TopKDiversified(k=k)
+    topk = init_topk(ctx, k) if init_result else TopKDiversified(k=k, n=ctx.graph.n)
     n_candidates = 0
 
     def bu_gen(

@@ -28,6 +28,7 @@ graph:
 """
 from __future__ import annotations
 
+import numbers
 import time
 from dataclasses import dataclass
 from functools import partial
@@ -81,7 +82,11 @@ class DCCSContext:
 
 
 def check_query(n_layers: int, d: int, s: int, k: int = 1) -> None:
-    """Reject a degree ``d < 0``, a support ``s`` outside ``1..l`` or a result count ``k < 1``."""
+    """Reject a non-integer ``d``, ``s`` or ``k`` (numpy integers pass), a degree
+    ``d < 0``, a support ``s`` outside ``1..l`` or a result count ``k < 1``."""
+    for name, value in (("d", d), ("s", s), ("k", k)):
+        if not isinstance(value, numbers.Integral):
+            raise ValueError(f"{name}={value} is not an integer")
     if d < 0:
         raise ValueError(f"d={d} < 0")
     if not 1 <= s <= n_layers:

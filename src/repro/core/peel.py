@@ -45,6 +45,19 @@ import pandas as pd
 from ..pyref.local_graph import LocalMLGraph
 
 
+def _int_column(pdf: pd.DataFrame, c: str) -> np.ndarray:
+    """Column ``c`` as int64; a non-integer dtype must hold whole numbers only."""
+    col = pdf[c].to_numpy()
+    if col.dtype.kind in "iu":
+        return col.astype(np.int64, copy=False)
+    with np.errstate(invalid="ignore"):
+        out = col.astype(np.int64)
+    bad = out != col
+    if bad.any():
+        raise ValueError(f"column {c!r} holds values that are not integers: {col[bad][:3].tolist()}")
+    return out
+
+
 def canonical_edges(
     pdf: pd.DataFrame, *, n_layers: int, vertex_ids: Iterable[int] | None = None
 ) -> Tuple[pd.DataFrame, np.ndarray]:
@@ -54,9 +67,10 @@ def canonical_edges(
     the self-loops and orients each edge ``src < dst``, pandas drops the
     duplicates. The edges come back as columns ``layer`` (int32), ``src`` and
     ``dst`` (int64); the ids, ascending, are ``vertex_ids`` plus every edge
-    endpoint. Raises ``ValueError`` on an edge layer outside ``1..n_layers``.
+    endpoint. Raises ``ValueError`` on an edge layer outside ``1..n_layers``
+    and on a value of any column that is not a whole number (a NaN, ``1.5``).
     """
-    layer, src, dst = (pdf[c].to_numpy(np.int64) for c in ("layer", "src", "dst"))
+    layer, src, dst = (_int_column(pdf, c) for c in ("layer", "src", "dst"))
     bad = np.unique(layer[(layer < 1) | (layer > n_layers)]).tolist()
     if bad:
         raise ValueError(f"edges on layers {bad} outside 1..{n_layers}")

@@ -72,7 +72,7 @@ def init_topk(ctx: DCCSContext, k: int) -> TopKDiversified:
     updates ``R`` with the resulting d-CC (``check_query`` ensures ``s <= l``).
     Ties go to the lowest layer (``argmax``'s first maximum; used layers gain -1).
     """
-    topk = TopKDiversified(k=k)
+    topk = TopKDiversified(k=k, n=ctx.graph.n)
     for _ in range(k):
         covered = np.zeros(ctx.graph.n, bool)
         covered[topk.cover()] = True

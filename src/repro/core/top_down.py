@@ -63,7 +63,7 @@ def td_dccs(
     actual, core_at = layer_order(ctx, sort_layers, descending=False)
     index = NumIndex.build(ctx.graph, ctx.d)
 
-    topk = init_topk(ctx, k) if init_result else TopKDiversified(k=k)
+    topk = init_topk(ctx, k) if init_result else TopKDiversified(k=k, n=ctx.graph.n)
     n_candidates = 0
     full = frozenset(range(1, l + 1))
 

@@ -73,26 +73,43 @@ def test_call_budget_raises(ctx_local):
         ctx.run_dcc(everyone, [1])
 
 
-@pytest.mark.parametrize("s", [0, 4])
-def test_support_outside_layer_range_rejected(gl, gs, s):
-    """local_context and spark_context raise on s outside 1..l (here l = 3)."""
+@pytest.mark.parametrize(
+    "d, s",
+    [pytest.param(2, 0, id="0"), pytest.param(2, 4, id="4"), pytest.param(2, 2.5, id="2.5"),
+     pytest.param(2.5, 2, id="d2.5")],
+)
+def test_support_outside_layer_range_rejected(gl, gs, d, s):
+    """local_context and spark_context raise on s outside 1..l (here l = 3)
+    and on a non-integer s or d (``d = 2.5`` would run as the 3-core)."""
     with pytest.raises(ValueError):
-        local_context(gl, 2, s, vertex_del=False)
+        local_context(gl, d, s, vertex_del=False)
     with pytest.raises(ValueError):
-        local_context(gl, 2, s)
+        local_context(gl, d, s)
     with pytest.raises(ValueError):
-        spark_context(gs, 2, s)
+        spark_context(gs, d, s)
 
 
-@pytest.mark.parametrize("algo", [gd_dccs, bu_dccs, td_dccs])
-def test_result_count_below_one_rejected(algo, ctx_local):
-    """Each algorithm raises on ``k < 1`` before its first d-CC call."""
+@pytest.mark.parametrize(
+    "algo, k, message",
+    [pytest.param(algo, 0, "k=0 < 1", id=algo.__name__) for algo in (gd_dccs, bu_dccs, td_dccs)]
+    + [pytest.param(algo, 2.5, "k=2.5 is not an integer", id=f"{algo.__name__}-k2.5")
+       for algo in (gd_dccs, bu_dccs, td_dccs)],
+)
+def test_result_count_below_one_rejected(algo, k, message, ctx_local):
+    """Each algorithm raises on ``k < 1`` or a non-integer ``k`` before its first d-CC call."""
     import dataclasses
 
     ctx = dataclasses.replace(ctx_local, n_dcc_calls=0)
-    with pytest.raises(ValueError, match="k=0 < 1"):
-        algo(ctx, 0)
+    with pytest.raises(ValueError, match=message):
+        algo(ctx, k)
     assert ctx.n_dcc_calls == 0
+
+
+def test_numpy_integer_query_accepted(gl):
+    """``d``, ``s`` and ``k`` may be numpy integers."""
+    want = bu_dccs(local_context(gl, 2, 2), 3)
+    got = bu_dccs(local_context(gl, np.int64(2), np.int32(2)), np.int64(3))
+    assert (got.entries, got.cover) == (want.entries, want.cover)
 
 
 #: Every parameter of the core entry points, ``*`` before the keyword-only

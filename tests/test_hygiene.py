@@ -1,6 +1,7 @@
 """Source hygiene: no module imports a name it never uses, no function
-in ``src/`` or ``jobs/`` takes a parameter it never reads, and the harness
-and the baselines import nothing from the set-based reference ``repro.pyref``.
+in ``src/`` or ``jobs/`` takes a parameter it never reads, no ``_``-prefixed
+function, method or module there goes unread, and the harness and the
+baselines import nothing from the set-based reference ``repro.pyref``.
 
 Stdlib ``ast`` scans stand in for a linter's unused-import and unused-argument
 rules. A name counts as used when the module reads it anywhere or lists it in
@@ -97,6 +98,71 @@ def test_no_unused_parameters(top):
     found = [hit for path in sorted((ROOT / top).rglob("*.py")) for hit in unused_parameters(path)]
     assert not found, "parameters never read:\n" + "\n".join(found)
 
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def _private_defs(tree: ast.Module):
+    """``(name, line)`` of every ``_``-prefixed function or method (dunders exempt)."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and _private(node.name):
+            yield node.name, node.lineno
+
+
+def _reads(tree: ast.Module) -> set:
+    """Every name the module reads: variables, attributes, imported names and
+    modules, and string constants (``setattr``-style patching by name)."""
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.alias):
+            read.update(node.name.split("."))
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            read.update(node.module.split("."))
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            read.add(node.value)
+    return read
+
+
+def test_scan_flags_an_unread_private_name():
+    """``_g`` is never read; ``_f`` is called, ``_h`` patched by name, ``_m``
+    imported, and ``__init__`` is a dunder."""
+    tree = ast.parse(
+        "from ._m import x\n"
+        "class A:\n"
+        "    def __init__(self):\n"
+        "        self._f()\n"
+        "    def _f(self):\n"
+        "        setattr(A, '_h', x)\n"
+        "    def _g(self):\n"
+        "        pass\n"
+        "    def _h(self):\n"
+        "        pass\n"
+    )
+    read = _reads(tree)
+    assert [name for name, _ in _private_defs(tree) if name not in read] == ["_g"]
+    assert "_m" in read
+
+
+def test_no_unread_private_names():
+    """A ``_``-prefixed function, method or module of ``src/`` or ``jobs/``
+    that nothing under ``src/``, ``jobs/``, ``tests/`` or ``perfbench/`` reads."""
+    read = set()
+    for top in ("src", "jobs", "tests", "perfbench"):
+        for path in (ROOT / top).rglob("*.py"):
+            read |= _reads(ast.parse(path.read_text(), filename=str(path)))
+    found = []
+    for top in ("src", "jobs"):
+        for path in sorted((ROOT / top).rglob("*.py")):
+            tree = ast.parse(path.read_text(), filename=str(path))
+            found += [f"{path.relative_to(ROOT)}:{line} {name}" for name, line in _private_defs(tree) if name not in read]
+            if _private(path.stem) and path.stem not in read:
+                found.append(f"{path.relative_to(ROOT)} (module)")
+    assert not found, "private names nothing reads:\n" + "\n".join(found)
 
 
 def _imported_modules(tree: ast.Module, package: list):

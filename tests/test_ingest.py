@@ -84,6 +84,22 @@ def test_layer_outside_range_rejected(bad):
         PeelGraph.from_pandas(pdf, n_layers=2)
 
 
+@pytest.mark.parametrize("col, value", [("src", 1.7), ("layer", 1.5), ("dst", np.nan)])
+def test_non_integer_value_rejected(col, value):
+    """A fraction or a NaN is not truncated to a vertex or a layer."""
+    pdf = pd.DataFrame({"layer": [1, 1, 2], "src": [1, 2, 2], "dst": [2, 3, 4]}).astype(float)
+    pdf.loc[1, col] = value
+    with pytest.raises(ValueError, match=rf"column '{col}' holds values that are not integers: \[{value}\]"):
+        PeelGraph.from_pandas(pdf, n_layers=2)
+
+
+def test_whole_floats_ingest_as_integers():
+    pdf = pd.DataFrame({"layer": [1, 1, 2], "src": [1, 2, 2], "dst": [2, 3, 4]})
+    got, want = PeelGraph.from_pandas(pdf.astype(float), n_layers=2), PeelGraph.from_pandas(pdf, n_layers=2)
+    assert np.array_equal(got.ids, want.ids)
+    assert set(got.edges()) == set(want.edges())
+
+
 def test_neighbors_match_set_graph():
     """Every ``(layer, v)`` of ppi-lite, plus ids and layers that are not in it."""
     g, gl = load_local("ppi-lite")[0], named_local("ppi-lite")

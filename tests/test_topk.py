@@ -12,6 +12,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.topk import TopKDiversified
 
+N = 30  # every vertex set below holds indices 0..N-1
+
 
 class NaiveTopK:
     """Straight-from-the-paper recomputation of the Update rules."""
@@ -33,13 +35,17 @@ class NaiveTopK:
     def star(self) -> int:
         return min(range(len(self.R)), key=lambda i: (len(self.delta(i)), i))
 
+    def replacement_cov(self, C: frozenset) -> Set[int]:
+        """``Cov((R − {C*}) ∪ {C})``."""
+        star = self.star()
+        return self.cov([c for i, c in enumerate(self.R) if i != star] + [C])
+
     def update(self, C: frozenset) -> bool:
         if len(self.R) < self.k:
             self.R.append(C)
             return True
         star = self.star()
-        new_cov = self.cov([c for i, c in enumerate(self.R) if i != star] + [C])
-        if len(new_cov) >= (1 + 1 / self.k) * len(self.cov()):
+        if len(self.replacement_cov(C)) >= (1 + 1 / self.k) * len(self.cov()):
             self.R[star] = C  # replace, order-preserving on index
             # keep insertion-order semantics comparable: move to end
             self.R.append(self.R.pop(star))
@@ -49,6 +55,15 @@ class NaiveTopK:
 
 def dense(C: Iterable[int]) -> np.ndarray:
     return np.array(sorted(C), np.int64)
+
+
+def assert_reads_match(topk: TopKDiversified, naive: NaiveTopK, C: frozenset) -> None:
+    """Once ``R`` is full: Eq. (1)'s cover, ``|Δ(R, C*)|`` and ``C*`` equal the naive ones."""
+    if len(naive.R) < naive.k:
+        return
+    assert topk.replacement_cover_size(dense(C)) == len(naive.replacement_cov(C))
+    assert topk.delta_min == len(naive.delta(naive.star()))
+    assert topk.worst() is topk.results()[naive.star()]
 
 
 def random_sets(seed: int, n: int, universe: int, max_size: int):
@@ -62,9 +77,10 @@ def random_sets(seed: int, n: int, universe: int, max_size: int):
 @pytest.mark.parametrize("seed", range(10))
 @pytest.mark.parametrize("k", [1, 2, 3, 5])
 def test_update_matches_naive(seed, k):
-    topk = TopKDiversified(k=k)
+    topk = TopKDiversified(k=k, n=N)
     naive = NaiveTopK(k)
     for C in random_sets(seed, 40, 30, 12):
+        assert_reads_match(topk, naive, C)
         applied = topk.update(dense(C), (1,))
         applied_naive = naive.update(C)
         assert applied == applied_naive
@@ -74,8 +90,8 @@ def test_update_matches_naive(seed, k):
 
 @pytest.mark.parametrize("seed", range(10))
 def test_delta_bookkeeping_invariant(seed):
-    """Incremental Δ values always equal recomputed exclusive covers."""
-    topk = TopKDiversified(k=3)
+    """The Δ values re-read on each update equal recomputed exclusive covers."""
+    topk = TopKDiversified(k=3, n=N)
     for C in random_sets(seed, 30, 25, 10):
         topk.update(dense(C), (1,))
         entries = topk.results()
@@ -88,7 +104,7 @@ def test_delta_bookkeeping_invariant(seed):
 
 
 def test_rule1_fills_to_k():
-    topk = TopKDiversified(k=3)
+    topk = TopKDiversified(k=3, n=N)
     for i in range(3):
         assert topk.update(dense({i}), (i,))
     assert topk.size == 3
@@ -96,7 +112,7 @@ def test_rule1_fills_to_k():
 
 
 def test_rule2_requires_eq1_gain():
-    topk = TopKDiversified(k=2)
+    topk = TopKDiversified(k=2, n=N)
     topk.update(dense({1, 2, 3}), (1,))
     topk.update(dense({4, 5, 6}), (2,))
     # cov = 6; need >= (1 + 1/2)*6 = 9 after replacement — impossible here
@@ -107,14 +123,14 @@ def test_rule2_requires_eq1_gain():
 
 
 def test_worst_breaks_ties_by_id():
-    topk = TopKDiversified(k=2)
+    topk = TopKDiversified(k=2, n=N)
     topk.update(dense({1}), (1,))
     topk.update(dense({2}), (2,))
     assert topk.worst().eid == 0
 
 
 def test_replacement_cover_size_formula():
-    topk = TopKDiversified(k=2)
+    topk = TopKDiversified(k=2, n=N)
     topk.update(dense({1, 2}), (1,))
     topk.update(dense({2, 3, 4}), (2,))
     # worst = entry0 (Δ={1}); replace with {5}: cov({2,3,4}) ∪ {5} = 4
@@ -126,7 +142,7 @@ def test_replacement_cover_size_formula():
 
 
 def test_duplicate_sets_allowed():
-    topk = TopKDiversified(k=2)
+    topk = TopKDiversified(k=2, n=N)
     C = dense({1, 2})
     topk.update(C, (1,))
     topk.update(C, (2,))
@@ -136,7 +152,7 @@ def test_duplicate_sets_allowed():
 
 
 def test_empty_candidate():
-    topk = TopKDiversified(k=2)
+    topk = TopKDiversified(k=2, n=N)
     topk.update(dense(()), (1,))
     assert topk.size == 1
     assert topk.cov_size == 0
@@ -145,8 +161,9 @@ def test_empty_candidate():
 @given(st.integers(0, 10_000))
 @settings(max_examples=40, deadline=None)
 def test_update_matches_naive_hypothesis(seed):
-    topk = TopKDiversified(k=3)
+    topk = TopKDiversified(k=3, n=N)
     naive = NaiveTopK(3)
     for C in random_sets(seed, 25, 20, 8):
+        assert_reads_match(topk, naive, C)
         assert topk.update(dense(C), (1,)) == naive.update(C)
         assert set(topk.cover().tolist()) == naive.cov()

@@ -31,8 +31,12 @@ their lengths, and each round decrements degrees only along the edges of
 the pairs it removed. :mod:`repro.pyref.kernels` is the set-based spec
 the tests compare this module against.
 
-The local engine's graph is built once per dataset from the edge frame
-(:meth:`PeelGraph.from_pandas`), canonicalised as the Spark ingest's is.
+The local engine's graph is built once per dataset from the edge frame by
+:meth:`PeelGraph.from_pandas`, on arrays throughout. :func:`canonical_edges`,
+which the Spark ingest shares, maps the endpoints to dense positions once
+(through a direct table when the ids are compact) and keeps the first
+occurrence of each int64 key ``(layer, u, v)``; the CSR is built from those
+positions with an unstable argsort, as a row's neighbours form a set.
 """
 from __future__ import annotations
 
@@ -58,29 +62,42 @@ def _int_column(pdf: pd.DataFrame, c: str) -> np.ndarray:
     return out
 
 
-def canonical_edges(
-    pdf: pd.DataFrame, *, n_layers: int, vertex_ids: Iterable[int] | None = None
-) -> Tuple[pd.DataFrame, np.ndarray]:
-    """Distinct edges and vertex ids of a frame with columns ``layer, src, dst``.
-
-    Rows may repeat, come in either orientation or be self-loops: numpy drops
-    the self-loops and orients each edge ``src < dst``, pandas drops the
-    duplicates. The edges come back as columns ``layer`` (int32), ``src`` and
-    ``dst`` (int64); the ids, ascending, are ``vertex_ids`` plus every edge
-    endpoint. Raises ``ValueError`` on an edge layer outside ``1..n_layers``
-    and on a value of any column that is not a whole number (a NaN, ``1.5``).
-    """
+def _canonical(
+    pdf: pd.DataFrame, n_layers: int, vertex_ids: Iterable[int] | None
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``ids, layer, u, v``: the ids of :func:`canonical_edges` and its edges
+    as int64 layers and dense positions ``u < v`` in ``ids``."""
     layer, src, dst = (_int_column(pdf, c) for c in ("layer", "src", "dst"))
     bad = np.unique(layer[(layer < 1) | (layer > n_layers)]).tolist()
     if bad:
         raise ValueError(f"edges on layers {bad} outside 1..{n_layers}")
     edge = src != dst
-    lo, hi = np.minimum(src, dst)[edge], np.maximum(src, dst)[edge]
-    canon = pd.DataFrame(
-        {"layer": layer[edge].astype(np.int32), "src": lo, "dst": hi}
-    ).drop_duplicates()
-    ids = [lo, hi] if vertex_ids is None else [lo, hi, np.fromiter(vertex_ids, np.int64)]
-    return canon, np.unique(np.concatenate(ids))
+    layer, src, dst = layer[edge], src[edge], dst[edge]
+    extra = [] if vertex_ids is None else [np.fromiter(vertex_ids, np.int64)]
+    ids, pos = _dense(np.concatenate([np.minimum(src, dst), np.maximum(src, dst), *extra]))
+    m, n = len(layer), len(ids)
+    u, v = pos[:m], pos[m : 2 * m]
+    first = ~pd.Series(np.ravel_multi_index((layer - 1, u, v), (n_layers, n, n))).duplicated().to_numpy()
+    return ids, layer[first], u[first], v[first]
+
+
+def canonical_edges(
+    pdf: pd.DataFrame, *, n_layers: int, vertex_ids: Iterable[int] | None = None
+) -> Tuple[pd.DataFrame, np.ndarray]:
+    """Distinct edges and vertex ids of a frame with columns ``layer, src, dst``.
+
+    Rows may repeat, come in either orientation or be self-loops: self-loops
+    are dropped, each edge is oriented ``src < dst`` and its first occurrence
+    kept, found on one int64 key ``(layer, u, v)`` over the endpoints' dense
+    positions. The edges come back in input order as columns ``layer``
+    (int32), ``src`` and ``dst`` (int64); the ids, ascending, are
+    ``vertex_ids`` plus every edge endpoint. Raises ``ValueError`` on an edge
+    layer outside ``1..n_layers``, on a value of any column that is not a
+    whole number (a NaN, ``1.5``), and when ``n_layers * len(ids)**2``
+    exceeds int64, where the key would wrap.
+    """
+    ids, layer, u, v = _canonical(pdf, n_layers, vertex_ids)
+    return pd.DataFrame({"layer": layer.astype(np.int32), "src": ids[u], "dst": ids[v]}), ids
 
 
 def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -89,18 +106,23 @@ def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return np.repeat(starts - ends + counts, counts) + np.arange(ends[-1] if len(ends) else 0)
 
 
-def _positions(ids: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Position in the ascending ``ids`` of each of ``values``, all members of ``ids``.
+def _dense(values: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The distinct ``values``, ascending, and the int32 position there of each value.
 
-    Ids spanning a range of at most a few times their number, as the
-    1..n ids of every dataset do, map through a direct table: a binary
-    search over unsorted ``values`` costs more than reading them.
+    Values spanning a range of less than four times their number, as the
+    1..n ids of every dataset do, map through a direct table of that range:
+    reading them costs less than sorting them.
     """
-    if len(ids) and ids[-1] - ids[0] < 4 * len(ids):
-        table = np.empty(ids[-1] - ids[0] + 1, np.int32)
-        table[ids - ids[0]] = np.arange(len(ids), dtype=np.int32)
-        return table[values - ids[0]]
-    return np.searchsorted(ids, values).astype(np.int32)
+    if len(values):
+        base = values.min()
+        off = values - base
+        span = int(off.max()) + 1
+        if span < 4 * len(values):
+            seen = np.zeros(span, bool)
+            seen[off] = True
+            return np.flatnonzero(seen) + base, (np.cumsum(seen, dtype=np.int32) - 1)[off]
+    ids, pos = np.unique(values, return_inverse=True)
+    return ids, pos.astype(np.int32)
 
 
 @dataclass(frozen=True)
@@ -122,32 +144,20 @@ class PeelGraph:
         cls, pdf: pd.DataFrame, *, n_layers: int, vertex_ids: Iterable[int] | None = None
     ) -> "PeelGraph":
         """Arrays of an edge frame ``layer, src, dst``, canonicalised by :func:`canonical_edges`."""
-        canon, ids = canonical_edges(pdf, n_layers=n_layers, vertex_ids=vertex_ids)
-        layer, src, dst = (canon[c].to_numpy(np.int64) for c in ("layer", "src", "dst"))
-        return cls.from_edges(ids, n_layers, layer, src, dst)
+        ids, layer, u, v = _canonical(pdf, n_layers, vertex_ids)
+        n = len(ids)
+        row = (np.concatenate([layer, layer]) - 1) * n + np.concatenate([u, v])
+        indptr = np.zeros(n_layers * n + 1, np.int64)
+        np.cumsum(np.bincount(row, minlength=n_layers * n), out=indptr[1:])
+        # A row's neighbours form a set: nothing reads their order.
+        nbr = np.concatenate([v, u])[np.argsort(row)]
+        return cls(ids=ids, n_layers=n_layers, indptr=indptr, nbr=nbr)
 
     @classmethod
     def from_local(cls, g: LocalMLGraph) -> "PeelGraph":
         """Arrays of a set-based graph (toy graphs and reference checks)."""
-        layer, src, dst = np.array(list(g.edges()), np.int64).reshape(-1, 3).T
-        return cls.from_edges(np.array(sorted(g.vertices), np.int64), g.n_layers, layer, src, dst)
-
-    @classmethod
-    def from_edges(
-        cls, ids: np.ndarray, n_layers: int, layer: np.ndarray, src: np.ndarray, dst: np.ndarray
-    ) -> "PeelGraph":
-        """Arrays of the undirected edges ``(layer, src, dst)``, each given once.
-
-        ``ids`` are the vertex ids in ascending order; every endpoint is one
-        of them and every layer lies in ``1..n_layers``.
-        """
-        n = len(ids)
-        u, v = _positions(ids, src), _positions(ids, dst)
-        row = (np.concatenate([layer, layer]) - 1) * n + np.concatenate([u, v])
-        indptr = np.zeros(n_layers * n + 1, np.int64)
-        np.cumsum(np.bincount(row, minlength=n_layers * n), out=indptr[1:])
-        nbr = np.concatenate([v, u])[np.argsort(row, kind="stable")]
-        return cls(ids=ids, n_layers=n_layers, indptr=indptr, nbr=nbr)
+        pdf = pd.DataFrame(list(g.edges()), columns=["layer", "src", "dst"])
+        return cls.from_pandas(pdf, n_layers=g.n_layers, vertex_ids=g.vertices)
 
     @property
     def n(self) -> int:

@@ -92,6 +92,4 @@ def _collect(g: MultiLayerGraph, keep: np.ndarray) -> PeelGraph:
     edges = g.edges.join(ids.withColumnRenamed("id", "src"), "src", "semi").join(
         ids.withColumnRenamed("id", "dst"), "dst", "semi"
     )
-    pdf = edges.toPandas()
-    layer, src, dst = (pdf[c].to_numpy(np.int64) for c in ("layer", "src", "dst"))
-    return PeelGraph.from_edges(np.sort(keep), g.n_layers, layer, src, dst)
+    return PeelGraph.from_pandas(edges.toPandas(), n_layers=g.n_layers, vertex_ids=keep)

@@ -3,13 +3,17 @@
 :func:`planted_multilayer` returns a ``(layer, src, dst)`` edge frame that
 feeds :class:`repro.core.graph.MultiLayerGraph` and
 :class:`repro.core.peel.PeelGraph`, plus the ground-truth communities.
-Generators are deterministic in ``seed``.
+Generators are deterministic in ``seed``. Each drawn block's edge columns
+are kept as arrays; one frame is built from all of them at the end and
+deduplicated by :func:`repro.core.peel.canonical_edges`, as the ingests do.
 """
 from dataclasses import dataclass
 from typing import FrozenSet, List, Tuple
 
 import numpy as np
 import pandas as pd
+
+from .core.peel import canonical_edges
 
 OVERLAP_POOL_FRAC = 0.15  #: size of the shared "hub pool", as a fraction of ``n``
 OVERLAP_PROB = 0.3  #: probability that a community member comes from the hub pool
@@ -47,7 +51,9 @@ def planted_multilayer(
     g = np.random.default_rng(seed)
     pool_size = max(1, int(n * OVERLAP_POOL_FRAC))
     communities: List[PlantedCommunity] = []
-    frames: List[pd.DataFrame] = []
+    # Edge columns, one array per drawn block after an empty one that gives
+    # an edgeless graph its int64 columns.
+    layers, srcs, dsts = ([np.empty(0, np.int64)] for _ in range(3))
 
     for _ in range(n_communities):
         size = int(g.integers(size_range[0], size_range[1] + 1))
@@ -73,45 +79,18 @@ def planted_multilayer(
         iu, iv = np.triu_indices(m, k=1)
         for layer in active:
             mask = g.random(len(iu)) < p_in
-            if not mask.any():
-                continue
-            frames.append(
-                pd.DataFrame(
-                    {
-                        "layer": int(layer),
-                        "src": members[iu[mask]],
-                        "dst": members[iv[mask]],
-                    }
-                )
-            )
+            layers.append(np.full(mask.sum(), layer))
+            srcs.append(members[iu[mask]])
+            dsts.append(members[iv[mask]])
 
     n_bg = max(0, int(n * background_degree / 2))
     for layer in range(1, l + 1):
         if n_bg == 0:
             continue
-        src = g.integers(1, n + 1, n_bg)
-        dst = g.integers(1, n + 1, n_bg)
-        keep = src != dst
-        frames.append(
-            pd.DataFrame({"layer": layer, "src": src[keep], "dst": dst[keep]})
-        )
+        layers.append(np.full(n_bg, layer))
+        srcs.append(g.integers(1, n + 1, n_bg))
+        dsts.append(g.integers(1, n + 1, n_bg))
 
-    if frames:
-        pdf = pd.concat(frames, ignore_index=True)
-        lo = np.minimum(pdf["src"], pdf["dst"])
-        hi = np.maximum(pdf["src"], pdf["dst"])
-        pdf = (
-            pd.DataFrame({"layer": pdf["layer"], "src": lo, "dst": hi})
-            .drop_duplicates()
-            .reset_index(drop=True)
-        )
-    else:
-        pdf = pd.DataFrame(
-            {
-                "layer": pd.Series(dtype="int64"),
-                "src": pd.Series(dtype="int64"),
-                "dst": pd.Series(dtype="int64"),
-            }
-        )
-    pdf = pdf.astype({"layer": "int64", "src": "int64", "dst": "int64"})
-    return pdf, communities
+    pdf = pd.DataFrame({"layer": np.concatenate(layers), "src": np.concatenate(srcs), "dst": np.concatenate(dsts)})
+    canon, _ = canonical_edges(pdf, n_layers=l)
+    return canon.astype({"layer": np.int64}), communities

@@ -1,4 +1,7 @@
 """Synthetic dataset presets: determinism, spec conformance, ground truth."""
+import hashlib
+
+import numpy as np
 import pytest
 
 from repro.datasets import (
@@ -28,6 +31,35 @@ def test_generation_deterministic(name):
     pdf2, comms2, _ = generate(name)
     assert pdf1.equals(pdf2)
     assert comms1 == comms2
+
+
+def _digest(pdf, comms) -> str:
+    """First 16 hex digits of a sha256 over a generated frame's columns,
+    dtypes, index and values, and over its communities in order."""
+    h = hashlib.sha256(repr((list(pdf.columns), [str(t) for t in pdf.dtypes], pdf.index)).encode())
+    for c in pdf.columns:
+        h.update(np.ascontiguousarray(pdf[c].to_numpy()).tobytes())
+    h.update(repr([(sorted(c.vertices), sorted(c.layers)) for c in comms]).encode())
+    return h.hexdigest()[:16]
+
+
+#: ``_digest`` of each named dataset, recorded when the generator built one
+#: frame per block and deduplicated with ``drop_duplicates``.
+DIGESTS = {
+    "ppi-lite": "e6b48dd7de6650b7",
+    "author-lite": "b9ab9f0a69a78ba9",
+    "german-lite": "54517d5cec2980da",
+    "wiki-lite": "107b8928fdc04c79",
+    "english-lite": "a2efb3b51fd5104d",
+    "stack-lite": "fefae0d86a7cd3cd",
+}
+
+
+@pytest.mark.parametrize("name", list(SPECS))
+def test_generated_data_pinned(name):
+    """Every named dataset's frame and communities, byte for byte."""
+    pdf, comms, _ = generate(name)
+    assert _digest(pdf, comms) == DIGESTS[name]
 
 
 @pytest.mark.parametrize("name", SMALL)

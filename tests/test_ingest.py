@@ -3,13 +3,15 @@
 On the six named datasets the arrays ``load_local`` builds from the edge
 frame equal those converted from the oracle ``LocalMLGraph``, and
 ``local_context`` gives the same context and GD/BU/TD results from either.
+The canonicaliser both ingests share, ``canonical_edges``, equals a plain
+pandas ``drop_duplicates`` reference row for row.
 """
 import numpy as np
 import pandas as pd
 import pytest
 
 from repro.core import local_context
-from repro.core.peel import PeelGraph
+from repro.core.peel import PeelGraph, canonical_edges
 from repro.datasets import SPECS, load_local
 from repro.harness import ALGOS, run_algorithm
 from repro.pyref import LocalMLGraph
@@ -108,3 +110,66 @@ def test_neighbors_match_set_graph():
             got = g.neighbors(i, v)
             assert isinstance(got, frozenset)
             assert got == gl.neighbors(i, v), (i, v)
+
+
+def _reference_canonical(pdf: pd.DataFrame, vertex_ids=()):
+    """Self-loops dropped, each edge ``min``/``max`` oriented, then ``drop_duplicates``."""
+    pdf = pdf[pdf["src"] != pdf["dst"]]
+    canon = pd.DataFrame(
+        {
+            "layer": pdf["layer"].astype(np.int32),
+            "src": np.minimum(pdf["src"], pdf["dst"]).astype(np.int64),
+            "dst": np.maximum(pdf["src"], pdf["dst"]).astype(np.int64),
+        }
+    ).drop_duplicates().reset_index(drop=True)
+    extra = np.fromiter(vertex_ids, np.int64)
+    return canon, np.unique(np.concatenate([canon["src"], canon["dst"], extra]))
+
+
+def _frame(rows) -> pd.DataFrame:
+    return pd.DataFrame(np.array(rows, np.int64).reshape(-1, 3), columns=["layer", "src", "dst"])
+
+
+#: Twelve ids near ``2**40``, spread over a range of ``2**30``.
+SPARSE = 2**40 + np.random.default_rng(5).choice(2**30, 12, replace=False)
+SPARSE_FRAME = _frame([(1 + i % 3, SPARSE[i % 12], SPARSE[(5 * i) % 12]) for i in range(60)])
+
+
+@pytest.mark.parametrize(
+    "pdf, ids",
+    [
+        *((messy_frame(np.random.default_rng(seed), seed), {40, 41, 42}) for seed in range(3)),
+        (_frame([]), ()),
+        (_frame([(1, 5, 5), (2, 7, 7), (1, 5, 5)]), {3, 9}),
+        (SPARSE_FRAME, ()),
+    ],
+    ids=["messy-0", "messy-1", "messy-2", "empty", "self-loops", "sparse"],
+)
+def test_canonical_edges_equal_pandas_reference(pdf, ids):
+    """Same rows in the same order, the same dtypes and the same ids."""
+    got, got_ids = canonical_edges(pdf, n_layers=3, vertex_ids=ids)
+    want, want_ids = _reference_canonical(pdf, ids)
+    pd.testing.assert_frame_equal(got, want)
+    assert list(got.dtypes) == [np.int32, np.int64, np.int64]
+    assert np.array_equal(got_ids, want_ids) and got_ids.dtype == np.int64
+
+
+@pytest.mark.parametrize("sparse", [False, True])
+def test_ids_ranked_by_table_or_by_sorting(sparse, monkeypatch):
+    """Compact ids map through a direct table of their span; ids spread far
+    wider than their number are ranked by ``np.unique`` instead."""
+    unique, ranked = np.unique, []
+
+    def spy(values, **kw):
+        ranked.append(kw.get("return_inverse", False))
+        return unique(values, **kw)
+
+    monkeypatch.setattr(np, "unique", spy)
+    canonical_edges(SPARSE_FRAME if sparse else messy_frame(np.random.default_rng(0), 0), n_layers=3)
+    assert any(ranked) == sparse
+
+
+def test_key_overflow_raises():
+    """``n_layers * n**2`` past int64 raises instead of wrapping the dedupe key."""
+    with pytest.raises(ValueError, match="dims"):
+        canonical_edges(_frame([(1, 1, 2), (2, 2, 3)]), n_layers=2**62)

@@ -1,6 +1,6 @@
 """The Spark session of the spark-submit entrypoints in ``jobs/``.
 
-``run_table.py`` computes one paper table and ``run_dccs.py`` runs one
+``run_table.py`` computes paper tables and ``run_dccs.py`` runs one
 query; each starts a session here only when it needs Spark.
 """
 from __future__ import annotations

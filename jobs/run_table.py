@@ -1,9 +1,12 @@
-"""Compute one paper table and save it to ``results/<name>.{json,md}``.
+"""Compute paper tables and save each to ``results/<name>.{json,md}``.
 
-    spark-submit jobs/run_table.py <name>      # or: python jobs/run_table.py <name>
+    spark-submit jobs/run_table.py <name> [<name> ...]   # or: python jobs/run_table.py ...
 
-``<name>`` is a key of ``repro.harness.TABLES``, e.g. ``fig29_mimag``. A
-Spark session is started only for a table whose function requires one.
+Each ``<name>`` is a key of ``repro.harness.TABLES``, e.g. ``fig29_mimag``;
+naming all nine rebuilds every table in one process. Every name is checked
+before any table is computed. One Spark session is started, and only if a
+named table's function requires one. ``tests/test_shapes.py`` checks the
+paper's shape claims on the saved rows.
 """
 from __future__ import annotations
 
@@ -20,18 +23,23 @@ def needs_spark(fn) -> bool:
     return param is not None and param.default is inspect.Parameter.empty
 
 
-def main(name: str):
+def main(*names: str):
+    """Compute and save each named table; returns ``{name: rows}``."""
     from repro.harness import TABLES, write_table
 
-    if name not in TABLES:
-        raise SystemExit(f"unknown table {name!r}; valid names: {', '.join(TABLES)}")
-    fn = TABLES[name]
-    rows = fn(spark=get_spark(name)) if needs_spark(fn) else fn()
-    write_table(name, rows)
-    return rows
+    for name in names:
+        if name not in TABLES:
+            raise SystemExit(f"unknown table {name!r}; valid names: {', '.join(TABLES)}")
+    spark = get_spark("run_table") if any(needs_spark(TABLES[n]) for n in names) else None
+    tables = {}
+    for name in names:
+        fn = TABLES[name]
+        tables[name] = fn(spark=spark) if needs_spark(fn) else fn()
+        write_table(name, tables[name])
+    return tables
 
 
 if __name__ == "__main__":
-    if len(sys.argv) != 2:
-        raise SystemExit("usage: run_table.py <name>")
-    main(sys.argv[1])
+    if len(sys.argv) < 2:
+        raise SystemExit("usage: run_table.py <name> [<name> ...]")
+    main(*sys.argv[1:])

@@ -76,12 +76,6 @@ class MultiLayerGraph:
             n_layers=n_layers,
         )
 
-    @classmethod
-    def from_local(cls, spark: SparkSession, g: LocalMLGraph) -> "MultiLayerGraph":
-        """Lift a driver-local graph into DataFrames (tests)."""
-        pdf = pd.DataFrame(list(g.edges()), columns=["layer", "src", "dst"])
-        return cls.from_pandas(spark, pdf, n_layers=g.n_layers, vertex_ids=g.vertices)
-
     # -- views -----------------------------------------------------------
 
     def sym(self) -> DataFrame:

@@ -3,9 +3,10 @@
 Every evaluation table of the paper has one entry in :data:`TABLES`: the
 stem of its committed ``results/<name>.{json,md}`` and the function that
 computes its rows (see DESIGN.md §3). :func:`write_table` prints and saves
-a table; ``jobs/run_table.py <name>`` (spark-submit) and ``benchmarks/``
-(pytest-benchmark) both compute a table through the registry and write it
-with that one writer. EXPERIMENTS.md quotes the saved rows.
+a table; ``jobs/run_table.py <name> [<name> ...]`` (spark-submit) is the one
+job that computes tables through the registry and writes them with it.
+``tests/test_shapes.py`` checks the paper's shape claims on the saved rows,
+and EXPERIMENTS.md quotes them.
 
 Each table runs one fixed way and varies only its parameter grid.
 Figs. 26–27 (scalability) run on Spark, whose loading and preprocessing

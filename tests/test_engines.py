@@ -8,10 +8,9 @@ import pytest
 from repro.baseline import diversify, mine_quasi_cliques
 from repro.core import bu_dccs, gd_dccs, local_context, spark_context, td_dccs
 from repro.core.engine import CallBudgetExceeded
-from repro.core.graph import MultiLayerGraph
 from repro.core.preprocess import vertex_deletion
 
-from .util import random_mlg
+from .util import random_mlg, spark_graph
 
 
 @pytest.fixture(scope="module")
@@ -21,7 +20,7 @@ def gl():
 
 @pytest.fixture(scope="module")
 def gs(spark, gl):
-    return MultiLayerGraph.from_local(spark, gl)
+    return spark_graph(spark, gl)
 
 
 @pytest.fixture(scope="module")

@@ -1,7 +1,8 @@
 """Source hygiene: no module imports a name it never uses, no function
 in ``src/`` or ``jobs/`` takes a parameter it never reads, no ``_``-prefixed
-function, method or module there goes unread, and the harness and the
-baselines import nothing from the set-based reference ``repro.pyref``.
+function, method or module there goes unread, the harness and the
+baselines import nothing from the set-based reference ``repro.pyref``, and
+the package imports no test tooling (``duckdb``, ``pytest``).
 
 Stdlib ``ast`` scans stand in for a linter's unused-import and unused-argument
 rules. A name counts as used when the module reads it anywhere or lists it in
@@ -14,7 +15,7 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-SCANNED = ("src", "jobs", "tests", "benchmarks")
+SCANNED = ("src", "jobs", "tests")
 
 
 def _imported(tree: ast.Module):
@@ -181,14 +182,16 @@ def _imported_modules(tree: ast.Module, package: list):
                     yield ".".join(base + [a.name]), node.lineno
 
 
-def _pyref(modules):
-    return [(m, line) for m, line in modules if m == "repro.pyref" or m.startswith("repro.pyref.")]
+def _within(modules, *roots):
+    """The ``(module, line)`` of ``modules`` that are one of ``roots`` or inside one."""
+    return [(m, line) for m, line in modules if any(m == r or m.startswith(r + ".") for r in roots)]
 
 
-def pyref_imports(path: Path):
+def imports_within(path: Path, *roots):
+    """Where the ``src/`` module ``path`` imports one of ``roots`` or a module inside one."""
     tree = ast.parse(path.read_text(), filename=str(path))
     package = list(path.relative_to(ROOT / "src").parent.parts)
-    return [f"{path.relative_to(ROOT)}:{line}: {m}" for m, line in _pyref(_imported_modules(tree, package))]
+    return [f"{path.relative_to(ROOT)}:{line}: {m}" for m, line in _within(_imported_modules(tree, package), *roots)]
 
 
 def test_scan_resolves_relative_imports():
@@ -196,12 +199,20 @@ def test_scan_resolves_relative_imports():
     tree = ast.parse("from .. import pyref\nfrom ..pyref.kernels import dcc\nimport repro.pyrefx\n")
     modules = list(_imported_modules(tree, ["repro", "baseline"]))
     assert [m for m, _ in modules] == ["repro.pyref", "repro.pyref.kernels", "repro.pyrefx"]
-    assert _pyref(modules) == [("repro.pyref", 1), ("repro.pyref.kernels", 2)]
+    assert _within(modules, "repro.pyref") == [("repro.pyref", 1), ("repro.pyref.kernels", 2)]
 
 
 def test_harness_and_baselines_do_not_import_pyref():
     """``LocalMLGraph`` and the set kernels are the tests' oracle; the
     table harness and the MiMAG baseline run on the local engine's arrays."""
     paths = [ROOT / "src/repro/harness.py", *sorted((ROOT / "src/repro/baseline").rglob("*.py"))]
-    found = [hit for path in paths for hit in pyref_imports(path)]
+    found = [hit for path in paths for hit in imports_within(path, "repro.pyref")]
     assert not found, "imports of repro.pyref:\n" + "\n".join(found)
+
+
+def test_package_imports_no_test_tooling():
+    """The DuckDB oracle and the pytest fixtures live under ``tests/``; no
+    module of ``repro`` imports them."""
+    paths = sorted((ROOT / "src/repro").rglob("*.py"))
+    found = [hit for path in paths for hit in imports_within(path, "duckdb", "pytest")]
+    assert not found, "test tooling imported by the package:\n" + "\n".join(found)

@@ -1,48 +1,102 @@
-"""Smoke tests: every table of the registry runs at reduced scale and yields
-rows, ``run_table`` writes exactly its table, and ``run_dccs`` runs one query."""
+"""Smoke tests: every table of the registry runs once at reduced scale and
+yields the rows its case expects, ``run_table`` writes exactly the tables it
+names, and ``run_dccs`` runs one query."""
 import inspect
 import json
 import os
 import re
 import sys
 from functools import partial
+from typing import Callable, NamedTuple
 
 import pytest
 
 from repro import harness
 from repro.harness import RESULTS_DIR, TABLES
 
+from .test_shapes import SHAPES
+
 JOBS_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "jobs")
 sys.path.insert(0, JOBS_DIR)
 import run_table  # noqa: E402
 
-# Per table: reduced overrides for its function, and the rows they give.
+
+class Case(NamedTuple):
+    """A table's reduced run: overrides for its function, the number of rows
+    they give, per column the values of those rows (a set of the values
+    they hold, or a list of them in row order), and a check every row passes."""
+
+    overrides: dict
+    n_rows: int
+    values: dict
+    row_ok: Callable[[dict], bool] = lambda r: True
+
+
+ALL = {"GD-DCCS", "BU-DCCS", "TD-DCCS"}
+# The columns of every search row (harness._row).
+ROW = {"dataset", "algorithm", "d", "s", "k", "seconds", "cov", "dcc_calls", "dnf"}
+
+
+def search_row(r):
+    return ROW <= set(r)
+
+
 CASES = {
-    "fig12_datasets": (dict(datasets=["ppi-lite"]), 1),
-    "fig14_16_s_small": (dict(datasets=("ppi-lite",), s_values=(1, 2), k=2), 4),
-    "fig15_17_s_large": (dict(datasets=("ppi-lite",), k=2), 15),
-    "fig18_21_d": (dict(datasets=("ppi-lite",), d_values=(2,), k=2), 4),
-    "fig22_25_k": (dict(datasets=("ppi-lite",), k_values=(2,), d=2), 4),
-    "fig26_27_scalability": (
-        dict(dataset="ppi-lite", p_values=(0.5,), q_values=(0.5,), d=2, k=2),
-        6,  # 2 knob points x 3 algorithm runs
+    "fig12_datasets": Case(dict(datasets=["ppi-lite"]), 1, dict(V={328}, l={8}, paper_V={328})),
+    "fig14_16_s_small": Case(
+        dict(datasets=("ppi-lite",), s_values=(1, 2), k=2), 4,  # 2 s-values x 2 algorithms
+        dict(dataset={"ppi-lite"}, algorithm={"GD-DCCS", "BU-DCCS"}, s={1, 2}), search_row,
     ),
-    "fig28_preprocessing": (dict(dataset="ppi-lite", d=2, k=2), 10),
-    "fig29_mimag": (dict(datasets=("ppi-lite",), d_values=(2,)), 2),
-    "fig30_containment": (dict(datasets=("ppi-lite",), d=2), 3),
+    "fig15_17_s_large": Case(
+        dict(datasets=("ppi-lite",), k=2), 15,  # 5 s-values x 3 algorithms
+        dict(algorithm=ALL, s={4, 5, 6, 7, 8}), search_row,
+    ),
+    "fig18_21_d": Case(
+        dict(datasets=("ppi-lite",), d_values=(2, 3), k=2), 8,  # 2 d-values x (GD/BU at s=3, GD/TD at s=6)
+        dict(algorithm=ALL, d={2, 3}, s={3, 6}), search_row,
+    ),
+    "fig22_25_k": Case(
+        dict(datasets=("ppi-lite",), k_values=(2, 3), d=2), 8,
+        dict(algorithm=ALL, k={2, 3}, s={3, 6}), search_row,
+    ),
+    "fig26_27_scalability": Case(
+        dict(dataset="ppi-lite", p_values=(0.5,), q_values=(0.5,), d=2, k=2),
+        6,  # 2 knob points x 3 algorithm runs; q = 0.5 keeps 4 layers, so TD runs at s=2
+        dict(knob={"p", "q"}, value={0.5}, algorithm=ALL, s={2, 3, 6}),
+        lambda r: search_row(r) and "preprocess_seconds" in r,
+    ),
+    "fig28_preprocessing": Case(
+        dict(dataset="ppi-lite", d=2, k=2), 10,  # 5 variants x (BU, TD)
+        dict(algorithm={"BU-DCCS", "TD-DCCS"}, variant={"Full", "No-VD", "No-SL", "No-IR", "No-Pre"}),
+        search_row,
+    ),
+    "fig29_mimag": Case(
+        dict(datasets=("ppi-lite",), d_values=(2,)), 2, dict(algorithm=["MiMAG", "BU-DCCS"]),
+        lambda r: all(0 <= r[m] <= 1 for m in ("precision", "recall", "f1")),
+    ),
+    "fig30_containment": Case(
+        dict(datasets=("ppi-lite",), d=2), 3, {"|Q|": {3, 4, 5}},
+        lambda r: r["n_quasi_cliques"] == 0
+        or abs(sum(v for c, v in r.items() if c.startswith("overlap_")) - 1.0) < 0.01,
+    ),
 }
 
 
 def run_case(name, spark=None):
-    """Table ``name`` at its reduced overrides; checks the row count."""
-    fn, (overrides, n_rows) = TABLES[name], CASES[name]
-    rows = fn(spark=spark, **overrides) if run_table.needs_spark(fn) else fn(**overrides)
-    assert len(rows) == n_rows
-    return rows
+    """Table ``name`` at its reduced overrides; checks its rows against its case."""
+    fn, case = TABLES[name], CASES[name]
+    rows = fn(spark=spark, **case.overrides) if run_table.needs_spark(fn) else fn(**case.overrides)
+    assert len(rows) == case.n_rows
+    for column, want in case.values.items():
+        got = [r[column] for r in rows]
+        assert (set(got) if isinstance(want, set) else got) == want, column
+    for r in rows:
+        assert case.row_ok(r), r
 
 
 def test_cases_cover_the_registry():
-    assert set(CASES) == set(TABLES)
+    """Every table has a smoke case here and a shape check in test_shapes."""
+    assert set(CASES) == set(TABLES) == set(SHAPES)
     assert {n for n in TABLES if run_table.needs_spark(TABLES[n])} == {"fig26_27_scalability"}
 
 
@@ -64,35 +118,37 @@ def test_tables_take_only_their_grid():
 
 
 def test_table_fig12():
-    row = run_case("fig12_datasets")[0]
-    assert (row["V"], row["l"], row["paper_V"]) == (328, 8, 328)
+    run_case("fig12_datasets")
 
 
-def test_sweep_fig14_16(spark):
-    run_case("fig14_16_s_small", spark)
+def test_sweep_fig14_16():
+    run_case("fig14_16_s_small")
 
 
-def test_sweep_fig15_17(spark):
-    run_case("fig15_17_s_large", spark)
+def test_sweep_fig15_17():
+    run_case("fig15_17_s_large")
 
 
-def test_sweep_fig18_21(spark):
-    run_case("fig18_21_d", spark)
+def test_sweep_fig18_21():
+    run_case("fig18_21_d")
 
 
-def test_sweep_fig22_25(spark):
-    run_case("fig22_25_k", spark)
+def test_sweep_fig22_25():
+    run_case("fig22_25_k")
 
 
 def test_sweep_fig26_27(spark):
-    rows = run_case("fig26_27_scalability", spark)
-    assert {r["knob"] for r in rows} == {"p", "q"}
-    for r in rows:
-        assert "preprocess_seconds" in r
+    """The sweep also leaves no more persisted RDDs than it found: each
+    point's graph frames are unpersisted, and vertex deletion's Spark pass
+    persists nothing."""
+    persistent = spark.sparkContext._jsc.getPersistentRDDs
+    before = persistent().size()
+    run_case("fig26_27_scalability", spark)
+    assert persistent().size() <= before
 
 
-def test_ablation_fig28(spark):
-    run_case("fig28_preprocessing", spark)
+def test_ablation_fig28():
+    run_case("fig28_preprocessing")
 
 
 def test_table_fig29():
@@ -105,20 +161,24 @@ def test_table_fig30():
 
 def test_run_table_writes_its_committed_table(tmp_path, monkeypatch, capsys):
     """Every table has a committed results/<name>.json, and run_table writes
-    exactly results/<name>.{json,md}; an unknown name lists the valid ones."""
+    exactly results/<name>.{json,md} of each table it names; an unknown name
+    lists the valid ones before any table is computed."""
     for name in TABLES:
         assert os.path.exists(os.path.join(RESULTS_DIR, f"{name}.json")), name
-    name = "fig30_containment"
-    overrides, _ = CASES[name]
-    monkeypatch.setitem(TABLES, name, partial(TABLES[name], **overrides))
+    names = ("fig12_datasets", "fig30_containment")
+    for name in names:
+        monkeypatch.setitem(TABLES, name, partial(TABLES[name], **CASES[name].overrides))
     monkeypatch.setattr(harness, "RESULTS_DIR", str(tmp_path))
-    rows = run_table.main(name)
-    assert sorted(os.listdir(tmp_path)) == [f"{name}.json", f"{name}.md"]
-    with open(tmp_path / f"{name}.json") as f:
-        assert json.load(f) == rows
-    assert f"== {name} ==" in capsys.readouterr().out
+    tables = run_table.main(*names)
+    assert sorted(os.listdir(tmp_path)) == [f"{n}.{ext}" for n in names for ext in ("json", "md")]
+    out = capsys.readouterr().out
+    for name in names:
+        with open(tmp_path / f"{name}.json") as f:
+            assert json.load(f) == tables[name]
+        assert f"== {name} ==" in out
+    monkeypatch.setitem(TABLES, "fig12_datasets", lambda: pytest.fail("computed before the names were checked"))
     with pytest.raises(SystemExit, match="fig12_datasets, fig14_16_s_small"):
-        run_table.main("table_fig29_mimag")
+        run_table.main("fig12_datasets", "table_fig29_mimag")
 
 
 def test_negative_degree_rejected(spark, no_loading):
@@ -127,12 +187,11 @@ def test_negative_degree_rejected(spark, no_loading):
     import dataclasses
 
     from repro.core import local_context, spark_context
-    from repro.core.graph import MultiLayerGraph
 
-    from .util import random_mlg
+    from .util import random_mlg, spark_graph
 
     gl = random_mlg(12, 2, 0.3, 0)
-    for build, g in ((local_context, gl), (spark_context, MultiLayerGraph.from_local(spark, gl))):
+    for build, g in ((local_context, gl), (spark_context, spark_graph(spark, gl))):
         with pytest.raises(ValueError, match="d=-1 < 0"):
             build(g, -1, 1)
         ctx = build(g, 0, 1)

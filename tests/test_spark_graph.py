@@ -5,10 +5,10 @@ import pytest
 
 from repro.core.graph import MAX_PARTITIONS, ROWS_PER_PARTITION, MultiLayerGraph, partitions_for
 from repro.datasets import load_spark
-from repro.oracle import assert_equivalent
 from repro.pyref import LocalMLGraph
 
-from .util import messy_frame, random_mlg
+from .oracle import assert_equivalent
+from .util import messy_frame, random_mlg, spark_graph
 
 
 @pytest.fixture(scope="module")
@@ -18,7 +18,7 @@ def gl():
 
 @pytest.fixture(scope="module")
 def gs(spark, gl):
-    return MultiLayerGraph.from_local(spark, gl)
+    return spark_graph(spark, gl)
 
 
 def test_round_trip_preserves_graph(gs, gl):

@@ -9,7 +9,7 @@ from repro.core.preprocess import vertex_deletion
 from repro.pyref import LocalMLGraph
 from repro.pyref import kernels as pk
 
-from .util import component_labels, random_mlg
+from .util import component_labels, random_mlg, spark_graph
 
 CASCADE_D = 3
 CASCADE_BLOCKS = 16
@@ -28,7 +28,7 @@ def gl():
 
 @pytest.fixture(scope="module")
 def gs(spark, gl):
-    return MultiLayerGraph.from_local(spark, gl)
+    return spark_graph(spark, gl)
 
 
 @pytest.fixture(scope="module")
@@ -40,7 +40,7 @@ def gl_iso():
 
 @pytest.fixture(scope="module")
 def gs_iso(spark, gl_iso):
-    return MultiLayerGraph.from_local(spark, gl_iso)
+    return spark_graph(spark, gl_iso)
 
 
 def cascade_chain(blocks: int, d: int) -> LocalMLGraph:
@@ -99,7 +99,7 @@ def test_support_below_one_rejected(gs):
 @pytest.fixture(scope="module")
 def cascade(spark):
     gl = cascade_chain(CASCADE_BLOCKS, CASCADE_D)
-    return MultiLayerGraph.from_local(spark, gl), gl
+    return spark_graph(spark, gl), gl
 
 
 @pytest.mark.parametrize("s", [1, 2, 3])
@@ -112,7 +112,7 @@ def test_cascade_matches_pyref(cascade, s):
 def test_cascade_spark_jobs_bounded(spark, cascade):
     """The Spark jobs do not grow with the peel rounds the fixpoint needs."""
     gs, _ = cascade
-    short = MultiLayerGraph.from_local(spark, cascade_chain(2, CASCADE_D))
+    short = spark_graph(spark, cascade_chain(2, CASCADE_D))
     sc = spark.sparkContext
     tracker = sc.statusTracker()
     jobs = {}
@@ -150,7 +150,7 @@ def test_layer_cores_d0_includes_isolated(gs_iso, gl_iso):
 def test_layer_cores_within_restriction(spark, gl):
     """The cores of an induced subgraph are pyref's cores restricted to it."""
     S = set(sorted(gl.vertices)[:25])
-    sub = MultiLayerGraph.from_local(spark, gl.induced(S))
+    sub = spark_graph(spark, gl.induced(S))
     got = vertex_deletion(sub, 2, 1).cores_by_layer()
     assert got == pk.layer_cores(gl, 2, S)
 
@@ -159,7 +159,7 @@ def test_layer_cores_within_restriction(spark, gl):
 def test_single_layer_dcore(spark, gl, layer):
     """On a one-layer graph, vertex deletion at s = 1 leaves that layer's d-core."""
     rows = ((1, u, v) for i, u, v in gl.edges() if i == layer)
-    one = MultiLayerGraph.from_local(
+    one = spark_graph(
         spark, LocalMLGraph.from_edges(rows, n_layers=1, vertices=gl.vertices)
     )
     assert vertex_deletion(one, 2, 1).survivors == pk.dcore(gl, layer, 2)

@@ -9,6 +9,7 @@ import numpy as np
 import pandas as pd
 
 from repro.core.engine import DCCSContext
+from repro.core.graph import MultiLayerGraph
 from repro.core.greedy import enumerate_candidates
 from repro.datasets import generate
 from repro.pyref.local_graph import LocalMLGraph
@@ -41,6 +42,12 @@ def random_mlg(
                 if rng.random() < prob:
                     edges.append((layer, u, v))
     return LocalMLGraph.from_edges(edges, n_layers=l, vertices=range(1, n + 1))
+
+
+def spark_graph(spark, g: LocalMLGraph) -> MultiLayerGraph:
+    """A set-based graph lifted into Spark DataFrames by the Spark ingest."""
+    pdf = pd.DataFrame(list(g.edges()), columns=["layer", "src", "dst"])
+    return MultiLayerGraph.from_pandas(spark, pdf, n_layers=g.n_layers, vertex_ids=g.vertices)
 
 
 def named_local(name: str) -> LocalMLGraph:

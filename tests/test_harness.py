@@ -1,4 +1,4 @@
-"""Harness: context caching, DNF handling and table output.
+"""Harness: context caching, DNF handling, sweep row schemas, table output.
 
 Each table's reduced run and the checks on its rows are in ``tests/test_jobs.py``."""
 import os
@@ -15,7 +15,19 @@ from repro.harness import (
     save_rows,
 )
 
+from . import test_jobs
 from .util import named_local
+
+# The sweep row-schema tests: each is its table's smoke test in test_jobs, whose
+# case holds every check on the rows; both names share the one reduced run.
+test_scalability_sweep_releases_graph_frames = test_jobs.test_sweep_fig26_27
+test_sweep_s_small_rows = test_jobs.test_sweep_fig14_16
+test_sweep_s_large_rows = test_jobs.test_sweep_fig15_17
+test_sweep_d_rows = test_jobs.test_sweep_fig18_21
+test_sweep_k_rows = test_jobs.test_sweep_fig22_25
+test_ablation_rows = test_jobs.test_ablation_fig28
+test_mimag_comparison_rows = test_jobs.test_table_fig29
+test_containment_rows = test_jobs.test_table_fig30
 
 
 def test_get_context_is_memoized():
@@ -24,7 +36,6 @@ def test_get_context_is_memoized():
     assert c1 is c2
     c3 = get_context("ppi-lite", 3, 2)
     assert c3 is not c1
-
 
 
 def test_run_algorithm_isolates_counters():
@@ -65,12 +76,6 @@ def test_run_algorithm_zero_time_budget_dnf():
     assert res.entries == [] and res.n_dcc_calls == 0
 
 
-
-
-
-
-
-
 def test_mimag_comparison_mines_once_per_dataset(monkeypatch):
     """Fig. 29 mines each dataset once, at the smallest d + 1, whatever the number of d values."""
     calls = []
@@ -91,7 +96,6 @@ def test_dataset_stats_match_set_graph(name):
         g.union_edge_count(),
         g.n_layers,
     )
-
 
 
 def test_rows_to_markdown():

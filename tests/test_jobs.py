@@ -6,7 +6,7 @@ import json
 import os
 import re
 import sys
-from functools import partial
+from functools import cache, partial
 from typing import Callable, NamedTuple
 
 import pytest
@@ -82,10 +82,23 @@ CASES = {
 }
 
 
+@cache
+def case_rows(name, spark=None):
+    """Table ``name``'s rows at its reduced overrides, computed once per session,
+    and by how much the run changed Spark's count of persisted RDDs."""
+    fn, overrides = TABLES[name], CASES[name].overrides
+    if not run_table.needs_spark(fn):
+        return fn(**overrides), 0
+    persistent = spark.sparkContext._jsc.getPersistentRDDs
+    before = persistent().size()
+    rows = fn(spark=spark, **overrides)
+    return rows, persistent().size() - before
+
+
 def run_case(name, spark=None):
     """Table ``name`` at its reduced overrides; checks its rows against its case."""
-    fn, case = TABLES[name], CASES[name]
-    rows = fn(spark=spark, **case.overrides) if run_table.needs_spark(fn) else fn(**case.overrides)
+    case = CASES[name]
+    rows, _ = case_rows(name, spark)
     assert len(rows) == case.n_rows
     for column, want in case.values.items():
         got = [r[column] for r in rows]
@@ -141,10 +154,8 @@ def test_sweep_fig26_27(spark):
     """The sweep also leaves no more persisted RDDs than it found: each
     point's graph frames are unpersisted, and vertex deletion's Spark pass
     persists nothing."""
-    persistent = spark.sparkContext._jsc.getPersistentRDDs
-    before = persistent().size()
     run_case("fig26_27_scalability", spark)
-    assert persistent().size() <= before
+    assert case_rows("fig26_27_scalability", spark)[1] <= 0
 
 
 def test_ablation_fig28():
